@@ -8,7 +8,8 @@ and csv; every rational is written in the canonical ``num/den`` form, and
 CSV cells holding rationals are quoted strings so spreadsheets keep them
 intact.
 
-Exit codes: 0 success, 1 verification failures, 2 usage errors.
+Exit codes: 0 success, 1 verification failures, 2 usage errors, including
+requests beyond a table's size limit and output files that cannot be written.
 """
 
 from __future__ import annotations
@@ -382,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, seq.TableLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

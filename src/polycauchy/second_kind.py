@@ -13,7 +13,12 @@ and coefficient extraction from the generating function (``poly_oracle``,
 the recurrences, the addition/difference/derivative identities, and the three
 connection-coefficient expansions.
 
-Values are memoized per (n, k); the caches are invisible to results.
+Closed-route values are memoized per (n, k).  The oracle keeps grown rows
+per k (``memo.grown_value``): C_0^(k)(x), ..., C_N^(k)(x) are all read off
+one generating-function series of order N, which is rebuilt at order
+max(n, 2N) only when a degree n > N is asked for.  Truncation modulo
+t^(N+1) is a ring homomorphism, so every value equals the one read off a
+fresh series of order n+1.  The caches are invisible to results.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .memo import grown_value
 from .poly import (
     Basis,
     BasisKind,
@@ -86,20 +92,22 @@ def gf_number_series(k: int, order: int) -> TruncatedSeries:
     return lif_series(k, order).compose(-log1p_series(order))
 
 
-@lru_cache(maxsize=None)
 def _gf_polynomial_series(k: int, order: int) -> TruncatedSeries:
     return gf_number_series(k, order) * binomial_series(order)
 
 
-@lru_cache(maxsize=None)
+_ORACLE_POLYS: dict[tuple, tuple] = {}
+_ORACLE_NUMBERS: dict[tuple, tuple] = {}
+
+
 def poly_oracle(n: int, k: int) -> Polynomial:
     """C_n^(k)(x) read off the generating function."""
-    return _gf_polynomial_series(k, n + 1).sequence_value(n)
+    return grown_value(_ORACLE_POLYS, (k,), n, _gf_polynomial_series)
 
 
 def number_oracle(n: int, k: int) -> Fraction:
     """C_n^(k) read off the number-level generating function."""
-    return gf_number_series(k, n + 1).sequence_value(n)
+    return grown_value(_ORACLE_NUMBERS, (k,), n, gf_number_series)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,24 @@ coefficient:
     bernoulli_high_order_poly (t/(e^t - 1))^alpha * e^(xt),  alpha in Z
     frobenius_euler_poly      ((1-lambda)/(e^t - lambda))^r * e^(xt),  lambda != 1
     narumi_poly               (t/log(1+t))^(-a) * (1+t)^x,  a in Z
+
+Each family is memoized in grown rows (``memo.grown_value``): for each
+parameter (none, alpha, (r, lambda) or a) the values of degree 0..N are read
+off one series of order N, which is rebuilt at order max(n, 2N) only when a
+degree n > N is asked for.  An ascending table 0..n thus costs about one
+series of order at most 2n, not one series per degree.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
+from .memo import grown_value
 from .poly import Polynomial
 from .series import (
     TruncatedSeries,
@@ -36,6 +44,7 @@ from .series import (
 
 __all__ = [
     "DEFAULT_STIRLING_LIMIT",
+    "TableLimitError",
     "Stirling1Table",
     "SequenceParams",
     "stirling1",
@@ -54,12 +63,18 @@ __all__ = [
 DEFAULT_STIRLING_LIMIT = 64
 
 
+class TableLimitError(ValueError):
+    """A lookup beyond the fixed size of a shared table."""
+
+
 class Stirling1Table:
     """Triangular table of signed Stirling numbers of the first kind.
 
     Rows are grown on demand by the recurrence
     ``S1(n+1, l) = S1(n, l-1) - n*S1(n, l)`` up to a fixed cap, beyond which
-    lookups are an error rather than a silent reallocation.
+    lookups raise ``TableLimitError`` rather than reallocate silently.  One
+    table may be shared by threads: rows grow under a lock, and a lookup of
+    a row that already exists takes none.
     """
 
     def __init__(self, n_max: int = DEFAULT_STIRLING_LIMIT):
@@ -67,6 +82,7 @@ class Stirling1Table:
             raise ValueError("table bound must be non-negative")
         self.n_max = n_max
         self._rows: list[list[int]] = [[1]]
+        self._lock = threading.Lock()
 
     def value(self, n: int, l: int) -> int:
         if n < 0 or l < 0:
@@ -74,17 +90,22 @@ class Stirling1Table:
         if l > n:
             return 0
         if n > self.n_max:
-            raise ValueError(f"Stirling table capped at n_max={self.n_max}; requested n={n}")
-        while len(self._rows) <= n:
-            m = len(self._rows) - 1
-            prev = self._rows[m]
-            row = [
-                (prev[l - 1] if l >= 1 else 0) - m * (prev[l] if l <= m else 0)
-                for l in range(m + 2)
-            ]
-            # Rows are appended whole, so concurrent readers never see a torn row.
-            self._rows.append(row)
+            raise TableLimitError(f"Stirling table capped at n_max={self.n_max}; requested n={n}")
+        if n >= len(self._rows):
+            self._grow(n)
         return self._rows[n][l]
+
+    def _grow(self, n: int) -> None:
+        with self._lock:
+            while len(self._rows) <= n:
+                m = len(self._rows) - 1
+                prev = self._rows[m]
+                row = [
+                    (prev[l - 1] if l >= 1 else 0) - m * (prev[l] if l <= m else 0)
+                    for l in range(m + 2)
+                ]
+                # Appended whole, so a reader without the lock never sees a torn row.
+                self._rows.append(row)
 
 
 _TABLE = Stirling1Table()
@@ -162,26 +183,43 @@ def _expm1_over_t(order: int) -> TruncatedSeries:
     return (exp_series(order + 1) - 1).divided_by_t()
 
 
-@lru_cache(maxsize=None)
+_BERNOULLI_2ND_POLYS: dict[tuple, tuple] = {}
+_BERNOULLI_2ND_NUMBERS: dict[tuple, tuple] = {}
+_HIGH_ORDER_POLYS: dict[tuple, tuple] = {}
+_FROBENIUS_EULER_POLYS: dict[tuple, tuple] = {}
+_NARUMI_POLYS: dict[tuple, tuple] = {}
+
+
+def _bernoulli_2nd_gf(order: int) -> TruncatedSeries:
+    return t_over_log1p_series(order) * binomial_series(order)
+
+
+def _high_order_gf(alpha: int, order: int) -> TruncatedSeries:
+    return _expm1_over_t(order) ** (-alpha) * exp_xt_series(order)
+
+
+def _frobenius_euler_gf(r: int, lam: Fraction, order: int) -> TruncatedSeries:
+    core = ((exp_series(order) - lam).invert() * (1 - lam)) ** r
+    return core * exp_xt_series(order)
+
+
+def _narumi_gf(a: int, order: int) -> TruncatedSeries:
+    return _log1p_over_t(order) ** a * binomial_series(order)
+
+
 def bernoulli_2nd_poly(n: int) -> Polynomial:
     """Bernoulli polynomial of the second kind, degree n."""
-    order = n + 1
-    gf = t_over_log1p_series(order) * binomial_series(order)
-    return gf.sequence_value(n)
+    return grown_value(_BERNOULLI_2ND_POLYS, (), n, _bernoulli_2nd_gf)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_2nd_number(n: int) -> Fraction:
     """Bernoulli number of the second kind: n! [t^n] t/log(1+t)."""
-    return t_over_log1p_series(n + 1).sequence_value(n)
+    return grown_value(_BERNOULLI_2ND_NUMBERS, (), n, t_over_log1p_series)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_high_order_poly(n: int, alpha: int) -> Polynomial:
     """Higher-order Bernoulli polynomial of degree n and integer order alpha."""
-    order = n + 1
-    gf = _expm1_over_t(order) ** (-alpha) * exp_xt_series(order)
-    return gf.sequence_value(n)
+    return grown_value(_HIGH_ORDER_POLYS, (alpha,), n, _high_order_gf)
 
 
 def frobenius_euler_poly(n: int, r: int, lam: Fraction | int) -> Polynomial:
@@ -192,22 +230,12 @@ def frobenius_euler_poly(n: int, r: int, lam: Fraction | int) -> Polynomial:
         raise ValueError("Frobenius-Euler parameter must differ from 1")
     if r < 0:
         raise ValueError("Frobenius-Euler order must be non-negative")
-    return _frobenius_euler_cached(n, r, lam)
+    return grown_value(_FROBENIUS_EULER_POLYS, (r, lam), n, _frobenius_euler_gf)
 
 
-@lru_cache(maxsize=None)
-def _frobenius_euler_cached(n: int, r: int, lam: Fraction) -> Polynomial:
-    order = n + 1
-    core = ((exp_series(order) - lam).invert() * (1 - lam)) ** r
-    return (core * exp_xt_series(order)).sequence_value(n)
-
-
-@lru_cache(maxsize=None)
 def narumi_poly(n: int, a: int) -> Polynomial:
     """Narumi polynomial of degree n and integer order a (either sign)."""
-    order = n + 1
-    gf = _log1p_over_t(order) ** a * binomial_series(order)
-    return gf.sequence_value(n)
+    return grown_value(_NARUMI_POLYS, (a,), n, _narumi_gf)
 
 
 def bernoulli2nd_convolution(r: int, a: int) -> Fraction:

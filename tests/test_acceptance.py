@@ -7,12 +7,15 @@ test that freezes them.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
+from pathlib import Path
 
+import polycauchy
 from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
 from polycauchy.cli import main
@@ -184,12 +187,17 @@ def test_criterion_9_cli_conformance(capsys, tmp_path):
         code, _ = run("verify", "--n-max", "2", "--lambda", "1/1")
         assert code == 2
 
+        # The child imports the same package as this process, installed or not.
+        package_root = str(Path(polycauchy.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "polycauchy", "verify", "--format", "json"],
             capture_output=True,
             text=True,
             timeout=300,
+            env=env,
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

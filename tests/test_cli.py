@@ -82,6 +82,27 @@ def test_gen_missing_parameter(capsys):
     assert "--k" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "polycauchy2-number", "--k", "1", "--n-max", "70"),
+    ("verify", "--n-max", "70", "--identity", "stirling.eq6"),
+])
+def test_table_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Stirling table capped at n_max=64")
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "gen", "stirling1", "--n-max", "2", "--format", "json",
+                           "--output", str(target))
+    assert code == 2
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_negative_rational_flag_values(capsys):
     code, out, _ = run_cli(capsys, "gen", "frobenius-euler", "--r", "1", "--lambda", "-1/3",
                            "--n-max", "1", "--format", "json")

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction as F
 from math import factorial
 
@@ -7,6 +9,7 @@ from polycauchy.poly import Polynomial, X, falling_factorial_poly
 from polycauchy.sequences import (
     SequenceParams,
     Stirling1Table,
+    TableLimitError,
     bernoulli2nd_convolution,
     bernoulli_2nd_number,
     bernoulli_2nd_poly,
@@ -54,8 +57,40 @@ def test_stirling_negative_index_rejected():
 def test_stirling_table_cap():
     table = Stirling1Table(n_max=5)
     assert table.value(5, 3) == stirling1(5, 3)
-    with pytest.raises(ValueError, match="capped"):
+    with pytest.raises(TableLimitError, match="capped"):
         table.value(6, 1)
+
+
+def test_stirling_table_grows_safely_under_threads():
+    # Several threads growing fresh tables at once; a lost or duplicated row
+    # shifts every later row.
+    expected = [[stirling1(n, l) for l in range(n + 1)] for n in range(41)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            table = Stirling1Table()
+            barrier = threading.Barrier(8)
+            errors = []
+
+            def grow(top, table=table, barrier=barrier, errors=errors):
+                barrier.wait(timeout=30)
+                try:
+                    for n in range(top, 41, 8):
+                        table.value(n, n // 2)
+                except Exception as exc:  # reported below with the table state
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=grow, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert table._rows == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_stirling_recurrence_holds_across_table():
