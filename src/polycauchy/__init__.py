@@ -11,21 +11,19 @@ are truncated formal power series, and identity checks compare canonical
 forms structurally.
 """
 
-from .exact import Rational, format_rational, normalize, parse_rational, pow_int
+from .exact import Rational, format_rational, parse_rational
 from .poly import (
     Basis,
-    BasisExpansion,
     BasisKind,
     Polynomial,
     X,
     falling_factorial_poly,
     falling_factorial_value,
-    from_falling_basis,
-    to_falling_basis,
 )
 from .second_kind import (
     ConnectionMatrix,
     WeightRoute,
+    connection,
     connection_to_bernoulli,
     connection_to_falling,
     connection_to_frobenius,
@@ -34,7 +32,6 @@ from .second_kind import (
     poly_oracle,
 )
 from .sequences import (
-    SequenceParams,
     Stirling1Table,
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
@@ -50,25 +47,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Rational",
-    "normalize",
-    "pow_int",
     "format_rational",
     "parse_rational",
     "Polynomial",
     "X",
     "Basis",
     "BasisKind",
-    "BasisExpansion",
     "falling_factorial_poly",
     "falling_factorial_value",
-    "to_falling_basis",
-    "from_falling_basis",
     "TruncatedSeries",
     "log1p_series",
     "exp_series",
     "binomial_series",
     "Stirling1Table",
-    "SequenceParams",
     "stirling1",
     "lif_series",
     "bernoulli_2nd_poly",
@@ -80,6 +71,7 @@ __all__ = [
     "poly_oracle",
     "ConnectionMatrix",
     "WeightRoute",
+    "connection",
     "connection_to_bernoulli",
     "connection_to_frobenius",
     "connection_to_falling",

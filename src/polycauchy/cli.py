@@ -8,6 +8,9 @@ and csv; every rational is written in the canonical ``num/den`` form, and
 CSV cells holding rationals are quoted strings so spreadsheets keep them
 intact.
 
+Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
+block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
+
 Exit codes: 0 success, 1 verification failures, 2 usage errors, including
 requests beyond a table's size limit and output files that cannot be written.
 """
@@ -28,7 +31,7 @@ from . import second_kind as sk
 from . import sequences as seq
 from .exact import format_rational, parse_rational
 from .poly import Basis, Polynomial
-from .verify import GridConfig, GridConfigError, VerificationReport, catalog_ids, run_suite
+from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -149,7 +152,7 @@ def _render_csv(columns: list[str], rows: list[dict]) -> str:
     writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
     return buf.getvalue()
 
 
@@ -171,9 +174,11 @@ def _render_text(columns: list[str], rows: list[dict]) -> str:
 
 
 def _emit(args, command: str, params: dict, rows: list[dict], columns: list[str],
-          text: str | None = None) -> None:
+          text: str | None = None, meta: dict | None = None) -> None:
     if args.format == "json":
         payload = {"command": command, "params": params, "rows": rows}
+        if meta is not None:
+            payload["meta"] = meta
         rendered = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         rendered = _render_csv(columns, rows)
@@ -274,28 +279,16 @@ def _parse_basis_spec(spec: str) -> Basis:
 def _cmd_expand(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be non-negative")
-    basis = _parse_basis_spec(args.basis)
-    if basis.kind.value == "falling-factorial":
-        matrix = sk.connection_to_falling(args.n, args.k)
-    elif basis.kind.value == "higher-order-bernoulli":
-        matrix = sk.connection_to_bernoulli(args.n, args.k, basis.order)
-    else:
-        matrix = sk.connection_to_frobenius(args.n, args.k, basis.order, basis.param)
+    matrix = sk.connection(args.n, args.k, _parse_basis_spec(args.basis))
     check = "pass" if matrix.reconstruct() == sk.poly_closed(args.n, args.k) else "fail"
-    row = {
-        "n": args.n,
-        "k": args.k,
-        "basis": args.basis,
-        "coefficients": [format_rational(c) for c in matrix.entries],
-        "check": check,
-    }
     params = {"n": args.n, "k": args.k, "basis": args.basis}
-    _emit(args, "expand", params, [row], ["n", "k", "basis", "coefficients", "check"])
+    row = {**params, "coefficients": [format_rational(c) for c in matrix.entries], "check": check}
+    _emit(args, "expand", params, [row], list(row))
     return 0 if check == "pass" else 1
 
 
 def _cmd_verify(args) -> int:
-    lambdas = tuple(args.lambdas) if args.lambdas else GridConfig.__dataclass_fields__["lambdas"].default
+    lambdas = tuple(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
     identities = tuple(args.identities) if args.identities else None
     try:
         config = GridConfig(
@@ -316,38 +309,10 @@ def _cmd_verify(args) -> int:
         "y_values": [format_rational(v) for v in config.y_values],
         "identities": sorted(config.identities) if config.identities else sorted(catalog_ids()),
     }
-    rows = report.rows()
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "params": params,
-            "rows": rows,
-            "meta": {"generated_at": datetime.now(timezone.utc).isoformat()},
-        }
-        _write(args, json.dumps(payload, indent=2) + "\n")
-    elif args.format == "csv":
-        flat = [
-            {
-                "identity": r["identity"],
-                "params": r["params"],
-                "status": r["status"],
-                "lhs": r.get("lhs", ""),
-                "rhs": r.get("rhs", ""),
-            }
-            for r in rows
-        ]
-        _write(args, _render_csv(["identity", "params", "status", "lhs", "rhs"], flat))
-    else:
-        _write(args, report.to_text() + "\n")
+    columns = ["identity", "params", "status", "lhs", "rhs"]
+    meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
+    _emit(args, "verify", params, report.rows(), columns, text=report.to_text(), meta=meta)
     return 0 if report.failure_count == 0 else 1
-
-
-def _write(args, rendered: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
 
 
 def _cmd_series(args) -> int:

@@ -11,24 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "normalize", "pow_int", "format_rational", "parse_rational"]
+__all__ = ["Rational", "format_rational", "parse_rational"]
 
 Rational = Fraction
-
-
-def normalize(num: int, den: int) -> Fraction:
-    """Canonical fraction num/den; the sign is carried by the numerator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
-def pow_int(base: Rational | int, exponent: int) -> Fraction:
-    """Exact ``base ** exponent`` for an integer exponent of either sign."""
-    base = Fraction(base)
-    if exponent < 0 and base == 0:
-        raise ZeroDivisionError("0 cannot be raised to a negative power")
-    return base**exponent
 
 
 def format_rational(value: Rational | int) -> str:
@@ -38,11 +23,15 @@ def format_rational(value: Rational | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the ``"num/den"`` grammar; bare integers are accepted too."""
+    """Parse the ``"num/den"`` grammar; bare integers are accepted too.  The
+    result is canonical, with the sign carried by the numerator."""
     head, sep, tail = text.strip().partition("/")
     try:
         if not sep:
             return Fraction(int(head))
-        return normalize(int(head), int(tail))
+        num, den = int(head), int(tail)
     except ValueError:
         raise ValueError(f"not a rational: {text!r}") from None
+    if den == 0:
+        raise ZeroDivisionError("division by zero")
+    return Fraction(num, den)

@@ -6,6 +6,11 @@ The zero polynomial is the empty coefficient tuple.  Scalars (``int`` or
 ``Fraction``) mix freely in arithmetic and compare equal to constant
 polynomials, which lets polynomial-valued and rational-valued code share the
 same formulas.
+
+The module also holds the basis tags (``Basis``) of the connection-coefficient
+expansions and the triangular solve against a monic basis.  The expansion rows
+themselves are ``second_kind.ConnectionMatrix``; its ``reconstruct`` is the one
+way to reassemble a polynomial from them.
 """
 
 from __future__ import annotations
@@ -21,11 +26,8 @@ __all__ = [
     "X",
     "BasisKind",
     "Basis",
-    "BasisExpansion",
     "falling_factorial_poly",
     "falling_factorial_value",
-    "to_falling_basis",
-    "from_falling_basis",
     "expand_in_monic_basis",
 ]
 
@@ -235,7 +237,6 @@ def falling_factorial_value(point: Fraction | int, m: int) -> Fraction:
 
 
 class BasisKind(Enum):
-    MONOMIAL = "monomial"
     FALLING_FACTORIAL = "falling-factorial"
     HIGHER_ORDER_BERNOULLI = "higher-order-bernoulli"
     FROBENIUS_EULER = "frobenius-euler"
@@ -271,10 +272,6 @@ class Basis:
             raise ValueError(f"{self.kind.value} basis takes no parameter")
 
     @classmethod
-    def monomial(cls) -> Basis:
-        return cls(BasisKind.MONOMIAL)
-
-    @classmethod
     def falling_factorial(cls) -> Basis:
         return cls(BasisKind.FALLING_FACTORIAL)
 
@@ -285,14 +282,6 @@ class Basis:
     @classmethod
     def frobenius_euler(cls, order: int, param: Fraction | int) -> Basis:
         return cls(BasisKind.FROBENIUS_EULER, order=order, param=Fraction(param))
-
-
-@dataclass(frozen=True)
-class BasisExpansion:
-    """Coefficients of a polynomial against the degree-m members of a basis."""
-
-    basis: Basis
-    coeffs: tuple[Fraction, ...]
 
 
 def expand_in_monic_basis(p: Polynomial, members: Sequence[Polynomial]) -> tuple[Fraction, ...]:
@@ -317,21 +306,3 @@ def expand_in_monic_basis(p: Polynomial, members: Sequence[Polynomial]) -> tuple
     # The residue must vanish once every degree has been eliminated.
     assert residue.is_zero
     return tuple(out)
-
-
-def to_falling_basis(p: Polynomial) -> BasisExpansion:
-    """Rewrite ``p`` in the falling-factorial basis."""
-    if p.is_zero:
-        return BasisExpansion(Basis.falling_factorial(), ())
-    members = [falling_factorial_poly(m) for m in range(p.degree + 1)]
-    return BasisExpansion(Basis.falling_factorial(), expand_in_monic_basis(p, members))
-
-
-def from_falling_basis(expansion: BasisExpansion) -> Polynomial:
-    """Reassemble a polynomial from falling-factorial coefficients."""
-    if expansion.basis.kind is not BasisKind.FALLING_FACTORIAL:
-        raise ValueError("expansion is not in the falling-factorial basis")
-    total = Polynomial()
-    for m, c in enumerate(expansion.coeffs):
-        total = total + c * falling_factorial_poly(m)
-    return total

@@ -47,7 +47,6 @@ from .sequences import (
     lif_series,
     narumi_poly,
     stirling1,
-    t_over_log1p_series,
 )
 from .series import TruncatedSeries, binomial_series, log1p_series
 
@@ -71,6 +70,7 @@ __all__ = [
     "bernoulli2nd_power_weight",
     "ConnectionMatrix",
     "basis_member",
+    "connection",
     "connection_to_bernoulli",
     "connection_to_frobenius",
     "connection_to_falling",
@@ -304,8 +304,6 @@ class ConnectionMatrix:
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
     """The degree-m polynomial of the given basis."""
-    if basis.kind is BasisKind.MONOMIAL:
-        return X**m
     if basis.kind is BasisKind.FALLING_FACTORIAL:
         return falling_factorial_poly(m)
     if basis.kind is BasisKind.HIGHER_ORDER_BERNOULLI:
@@ -376,6 +374,15 @@ def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
     """Expansion in the falling-factorial basis: C_{n,m} = C(n,m) C_{n-m}^(k)."""
     entries = tuple(binom(n, m) * number_closed(n - m, k) for m in range(n + 1))
     return ConnectionMatrix(n, k, Basis.falling_factorial(), entries)
+
+
+def connection(n: int, k: int, basis: Basis) -> ConnectionMatrix:
+    """The connection row of C_n^(k)(x) in ``basis``, by its closed formula."""
+    if basis.kind is BasisKind.FALLING_FACTORIAL:
+        return connection_to_falling(n, k)
+    if basis.kind is BasisKind.HIGHER_ORDER_BERNOULLI:
+        return connection_to_bernoulli(n, k, basis.order)
+    return connection_to_frobenius(n, k, basis.order, basis.param)
 
 
 def connection_by_triangular_solve(n: int, k: int, basis: Basis) -> ConnectionMatrix:

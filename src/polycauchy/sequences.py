@@ -26,7 +26,6 @@ series of order at most 2n, not one series per degree.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_STIRLING_LIMIT",
     "TableLimitError",
     "Stirling1Table",
-    "SequenceParams",
     "stirling1",
     "binom",
     "multinomial",
@@ -129,28 +127,6 @@ def multinomial(parts: Sequence[int]) -> int:
     for p in parts:
         result //= factorial(p)
     return result
-
-
-@dataclass(frozen=True)
-class SequenceParams:
-    """Parameter bundle for the sequence generators, as parsed by the CLI."""
-
-    n_max: int = 0
-    k: int | None = None
-    alpha: int | None = None
-    r: int | None = None
-    lam: Fraction | None = None
-    a: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        if self.r is not None and self.r < 0:
-            raise ValueError("order r must be non-negative")
-        if self.lam is not None:
-            object.__setattr__(self, "lam", Fraction(self.lam))
-            if self.lam == 1:
-                raise ValueError("Frobenius-Euler parameter must differ from 1")
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:

@@ -11,16 +11,15 @@ to identical bytes (timestamps, if wanted, belong in separate metadata).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import format_rational
-from .poly import Basis, BasisExpansion, Polynomial, falling_factorial_poly, from_falling_basis
+from .poly import Polynomial, falling_factorial_poly
 from .series import InsufficientOrderError, TruncatedSeries, log1p_series
 
 __all__ = [
@@ -165,9 +164,6 @@ class VerificationReport:
 
     def rows(self) -> list[dict]:
         return [c.row() for c in self.checks]
-
-    def to_json(self) -> str:
-        return json.dumps(self.rows(), indent=2)
 
     def to_text(self) -> str:
         lines = []
@@ -364,12 +360,10 @@ def _eval_thm6_basis(cfg: GridConfig) -> Iterator[Check]:
 def _eval_thm7_basis(cfg: GridConfig) -> Iterator[Check]:
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
-            matrix = sk.connection_to_falling(n, k)
-            expansion = BasisExpansion(Basis.falling_factorial(), matrix.entries)
             yield _check(
                 "thm7.falling-basis",
                 (("n", n), ("k", k)),
-                from_falling_basis(expansion),
+                sk.connection_to_falling(n, k).reconstruct(),
                 sk.poly_closed(n, k),
             )
 

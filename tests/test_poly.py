@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 
 from polycauchy.poly import (
     Basis,
-    BasisExpansion,
     BasisKind,
     Polynomial,
     X,
     expand_in_monic_basis,
     falling_factorial_poly,
     falling_factorial_value,
-    from_falling_basis,
-    to_falling_basis,
 )
 from polycauchy.sequences import stirling1
 
@@ -107,26 +104,26 @@ def test_falling_factorial_value():
     assert falling_factorial_value(5, 2) == 20
 
 
+def to_falling(p):
+    return expand_in_monic_basis(p, [falling_factorial_poly(m) for m in range(p.degree + 1)])
+
+
+def from_falling(coeffs):
+    return sum((c * falling_factorial_poly(m) for m, c in enumerate(coeffs)), Polynomial())
+
+
 def test_from_falling_basis():
-    exp = BasisExpansion(Basis.falling_factorial(), (F(0), F(0), F(1)))
-    assert from_falling_basis(exp) == X**2 - X
+    assert from_falling((F(0), F(0), F(1))) == X**2 - X
 
 
 def test_to_falling_basis():
-    exp = to_falling_basis(X**2)
-    assert exp.coeffs == (F(0), F(1), F(1))  # x^2 = (x)_1 + (x)_2
-    assert exp.basis.kind is BasisKind.FALLING_FACTORIAL
+    assert to_falling(X**2) == (F(0), F(1), F(1))  # x^2 = (x)_1 + (x)_2
+    assert to_falling(Polynomial()) == ()
 
 
 def test_falling_round_trip_example():
     p = X**3 - 2 * X + 7
-    assert from_falling_basis(to_falling_basis(p)) == p
-
-
-def test_from_falling_basis_rejects_wrong_tag():
-    exp = BasisExpansion(Basis.monomial(), (F(1),))
-    with pytest.raises(ValueError, match="falling-factorial"):
-        from_falling_basis(exp)
+    assert from_falling(to_falling(p)) == p
 
 
 def test_expand_in_monic_basis_rejects_non_monic():
@@ -140,7 +137,7 @@ def test_basis_validation():
     with pytest.raises(ValueError):
         Basis.higher_order_bernoulli(-1)
     with pytest.raises(ValueError):
-        Basis(BasisKind.MONOMIAL, order=2)
+        Basis(BasisKind.FALLING_FACTORIAL, order=2)
 
 
 def test_str_rendering():
@@ -161,7 +158,7 @@ def test_eval_commutes_with_shift(p, a, c):
 
 @given(st.lists(small_rationals, max_size=13).map(Polynomial))
 def test_falling_basis_round_trip(p):
-    assert from_falling_basis(to_falling_basis(p)) == p
+    assert from_falling(to_falling(p)) == p
 
 
 @pytest.mark.parametrize("m", range(13))

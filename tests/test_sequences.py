@@ -7,7 +7,6 @@ import pytest
 
 from polycauchy.poly import Polynomial, X, falling_factorial_poly
 from polycauchy.sequences import (
-    SequenceParams,
     Stirling1Table,
     TableLimitError,
     bernoulli2nd_convolution,
@@ -265,12 +264,3 @@ def test_multinomial():
     assert multinomial((1, 0)) == 1
     assert multinomial((2, 1, 1)) == 12
     assert multinomial(()) == 1
-
-
-def test_sequence_params_validation():
-    with pytest.raises(ValueError, match="differ from 1"):
-        SequenceParams(n_max=3, lam=F(1))
-    with pytest.raises(ValueError):
-        SequenceParams(n_max=-1)
-    params = SequenceParams(n_max=3, r=2, lam=F(1, 2))
-    assert params.lam == F(1, 2)

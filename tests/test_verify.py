@@ -81,7 +81,7 @@ def test_identity_filter_and_check_count():
 def test_reports_are_deterministic():
     a = run_suite(SMALL)
     b = run_suite(SMALL)
-    assert a.to_json() == b.to_json()
+    assert a.rows() == b.rows()
     assert a.to_text() == b.to_text()
 
 
@@ -99,7 +99,7 @@ def test_rows_schema():
         assert row["status"] == "pass"
         assert set(row) == {"identity", "params", "status"}
         assert set(row["params"]) == {"n", "k"}
-    json.loads(report.to_json())
+    json.loads(json.dumps(report.rows()))
 
 
 def test_text_summary_line():
