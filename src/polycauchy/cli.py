@@ -35,17 +35,6 @@ from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, r
 
 __all__ = ["main", "build_parser"]
 
-GEN_SEQUENCES = (
-    "polycauchy2-number",
-    "polycauchy2-poly",
-    "stirling1",
-    "bernoulli2",
-    "bernoulli-order",
-    "frobenius-euler",
-    "narumi",
-)
-
-
 class UsageError(Exception):
     """Bad arguments discovered after parsing; reported on stderr, exit 2."""
 
@@ -87,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = _subparser(sub, "gen", [common], "tabulate a sequence for n = 0..n-max")
-    gen.add_argument("sequence", choices=GEN_SEQUENCES)
+    gen.add_argument("sequence", choices=tuple(_GEN))
     gen.add_argument("--n-max", type=int, required=True)
     gen.add_argument("--k", type=int, help="order of the polylog-factorial weight")
     gen.add_argument("--alpha", type=int, help="higher-order Bernoulli order")
@@ -191,69 +180,67 @@ def _emit(args, command: str, params: dict, rows: list[dict], columns: list[str]
         sys.stdout.write(rendered)
 
 
-def _require(args, name: str, flag: str):
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError(f"sequence {args.sequence!r} requires {flag}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
+
+# gen sequence -> (required (dest, flag) pairs, result column, value at degree n)
+_GEN = {
+    "polycauchy2-number": (
+        (("k", "--k"),),
+        "value",
+        lambda args, n: format_rational(sk.number_closed(n, args.k)),
+    ),
+    "polycauchy2-poly": (
+        (("k", "--k"),),
+        "coefficients",
+        lambda args, n: _poly_strings(sk.poly_closed(n, args.k)),
+    ),
+    "stirling1": (
+        (),
+        "values",
+        lambda args, n: [format_rational(seq.stirling1(n, l)) for l in range(n + 1)],
+    ),
+    "bernoulli2": (
+        (),
+        "coefficients",
+        lambda args, n: _poly_strings(seq.bernoulli_2nd_poly(n)),
+    ),
+    "bernoulli-order": (
+        (("alpha", "--alpha"),),
+        "coefficients",
+        lambda args, n: _poly_strings(seq.bernoulli_high_order_poly(n, args.alpha)),
+    ),
+    "frobenius-euler": (
+        (("r", "--r"), ("lam", "--lambda")),
+        "coefficients",
+        lambda args, n: _poly_strings(seq.frobenius_euler_poly(n, args.r, args.lam)),
+    ),
+    "narumi": (
+        (("a", "--a"),),
+        "coefficients",
+        lambda args, n: _poly_strings(seq.narumi_poly(n, args.a)),
+    ),
+}
+
 
 def _cmd_gen(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be non-negative")
     name = args.sequence
+    required, column, value = _GEN[name]
     params: dict = {"sequence": name, "n_max": args.n_max}
-    rows: list[dict] = []
-    if name == "polycauchy2-number":
-        k = _require(args, "k", "--k")
-        params["k"] = k
-        columns = ["n", "value"]
-        rows = [{"n": n, "value": format_rational(sk.number_closed(n, k))}
-                for n in range(args.n_max + 1)]
-    elif name == "polycauchy2-poly":
-        k = _require(args, "k", "--k")
-        params["k"] = k
-        columns = ["n", "coefficients"]
-        rows = [{"n": n, "coefficients": _poly_strings(sk.poly_closed(n, k))}
-                for n in range(args.n_max + 1)]
-    elif name == "stirling1":
-        columns = ["n", "values"]
-        rows = [
-            {"n": n, "values": [format_rational(seq.stirling1(n, l)) for l in range(n + 1)]}
-            for n in range(args.n_max + 1)
-        ]
-    elif name == "bernoulli2":
-        columns = ["n", "coefficients"]
-        rows = [{"n": n, "coefficients": _poly_strings(seq.bernoulli_2nd_poly(n))}
-                for n in range(args.n_max + 1)]
-    elif name == "bernoulli-order":
-        alpha = _require(args, "alpha", "--alpha")
-        params["alpha"] = alpha
-        columns = ["n", "coefficients"]
-        rows = [{"n": n, "coefficients": _poly_strings(seq.bernoulli_high_order_poly(n, alpha))}
-                for n in range(args.n_max + 1)]
-    elif name == "frobenius-euler":
-        r = _require(args, "r", "--r")
-        lam = _require(args, "lam", "--lambda")
-        if r < 0:
+    for dest, flag in required:
+        given = getattr(args, dest)
+        if given is None:
+            raise UsageError(f"sequence {name!r} requires {flag}")
+        params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
+    if name == "frobenius-euler":
+        if args.r < 0:
             raise UsageError("--r must be non-negative")
-        if lam == 1:
+        if args.lam == 1:
             raise UsageError("Frobenius-Euler parameter must differ from 1")
-        params["r"] = r
-        params["lambda"] = format_rational(lam)
-        columns = ["n", "coefficients"]
-        rows = [{"n": n, "coefficients": _poly_strings(seq.frobenius_euler_poly(n, r, lam))}
-                for n in range(args.n_max + 1)]
-    else:  # narumi
-        a = _require(args, "a", "--a")
-        params["a"] = a
-        columns = ["n", "coefficients"]
-        rows = [{"n": n, "coefficients": _poly_strings(seq.narumi_poly(n, a))}
-                for n in range(args.n_max + 1)]
-    _emit(args, "gen", params, rows, columns)
+    rows = [{"n": n, column: value(args, n)} for n in range(args.n_max + 1)]
+    _emit(args, "gen", params, rows, ["n", column])
     return 0
 
 

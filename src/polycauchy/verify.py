@@ -1,5 +1,12 @@
 """Executable identity suites over a parameter grid, with exact reports.
 
+Each identity is declared once, by the ``@_identity(id, statement,
+location, params)`` decorator on its evaluator.  The decorator registers
+the catalog entry and the evaluator together, in catalog order; the
+evaluator yields ``(values, lhs, rhs)`` per grid point, with ``values`` in
+the order of ``params``, and ``run_suite`` names the values and compares
+the sides.
+
 Every identity in the catalog is evaluated as a structural equality of
 canonical values (rationals, polynomials or series) over a configured grid;
 there are no tolerances.  Failures never abort a run: the whole grid is
@@ -76,6 +83,12 @@ class GridConfig:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise GridConfigError("n_max must be at least 1")
+        # thm2.recurrence reads Stirling row n_max + 1.
+        if self.n_max + 1 > seq.DEFAULT_STIRLING_LIMIT:
+            raise GridConfigError(
+                f"Stirling table capped at n_max={seq.DEFAULT_STIRLING_LIMIT}; "
+                f"a grid with n_max={self.n_max} needs row {self.n_max + 1}"
+            )
         if self.k_range[0] > self.k_range[1]:
             raise GridConfigError("k range is empty")
         if self.r_range[0] > self.r_range[1] or self.r_range[0] < 0:
@@ -131,9 +144,7 @@ def _listify(side: str | tuple[str, ...] | None):
 
 
 def _serialize(value) -> str | tuple[str, ...]:
-    if isinstance(value, Polynomial):
-        return tuple(format_rational(c) for c in value.coeffs)
-    if isinstance(value, TruncatedSeries):
+    if isinstance(value, (Polynomial, TruncatedSeries)):
         return tuple(format_rational(c) for c in value.coeffs)
     return format_rational(value)
 
@@ -187,194 +198,242 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # Identity evaluators
 
-Evaluator = Callable[[GridConfig], Iterator[Check]]
+Evaluator = Callable[[GridConfig], Iterator[tuple[tuple, object, object]]]
+
+_IDENTITIES: dict[str, tuple[IdentityInfo, Evaluator]] = {}
 
 
-def _eval_thm1_coeff(cfg: GridConfig) -> Iterator[Check]:
+def _identity(id: str, statement: str, location: str, params: tuple[str, ...]):
+    """Register the decorated evaluator as identity ``id``, in catalog order.
+
+    The evaluator yields ``(values, lhs, rhs)`` for each grid point, with
+    ``values`` in the order of ``params``."""
+
+    def register(evaluate: Evaluator) -> Evaluator:
+        _IDENTITIES[id] = (IdentityInfo(id, statement, location, params), evaluate)
+        return evaluate
+
+    return register
+
+
+@_identity(
+    "thm1.coeff",
+    "sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m)/(m-j+1)^k"
+    " = sum_{l=j-1}^{n-1} (-1)^(l+1-j) C(n-1,l) C(l+1,j) B_{n-1-l}^{(n)}/(l+2-j)^k",
+    "Theorem 1",
+    ("n", "j", "k"),
+)
+def _eval_thm1_coeff(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for j in range(1, n + 1):
             for k in cfg.ks:
-                yield _check(
-                    "thm1.coeff",
-                    (("n", n), ("j", j), ("k", k)),
-                    sk.closed_coefficient(n, j, k),
-                    sk.theorem1_rhs_coefficient(n, j, k),
-                )
+                lhs = sk.closed_coefficient(n, j, k)
+                yield (n, j, k), lhs, sk.theorem1_rhs_coefficient(n, j, k)
 
 
-def _eval_thm1_numbers(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm1.numbers",
+    "C_n^(k) = sum_m S1(n,m)(-1)^m/(m+1)^k"
+    " = sum_l (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)}/(l+2)^k",
+    "Theorem 1",
+    ("n", "k"),
+)
+def _eval_thm1_numbers(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for k in cfg.ks:
-            yield _check(
-                "thm1.numbers",
-                (("n", n), ("k", k)),
-                sk.number_closed(n, k),
-                sk.number_bernoulli_form(n, k),
-            )
+            yield (n, k), sk.number_closed(n, k), sk.number_bernoulli_form(n, k)
 
 
-def _eval_k1_reduction(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "eq5.k1-reduction",
+    "C_n^(1)(x) = b_n(x-1) = B_n^{(n)}(x)",
+    "Equation (5)",
+    ("n", "form"),
+)
+def _eval_k1_reduction(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         lhs = sk.poly_closed(n, 1)
-        yield _check(
-            "eq5.k1-reduction",
-            (("n", n), ("form", "bernoulli2-shift")),
-            lhs,
-            seq.bernoulli_2nd_poly(n).shift(-1),
-        )
-        yield _check(
-            "eq5.k1-reduction",
-            (("n", n), ("form", "high-order-bernoulli")),
-            lhs,
-            seq.bernoulli_high_order_poly(n, n),
-        )
+        yield (n, "bernoulli2-shift"), lhs, seq.bernoulli_2nd_poly(n).shift(-1)
+        yield (n, "high-order-bernoulli"), lhs, seq.bernoulli_high_order_poly(n, n)
 
 
-def _eval_k0_reduction(cfg: GridConfig) -> Iterator[Check]:
+@_identity("k0-reduction", "C_n^(0)(x) = (x-1)_n", "Equation (3) at k = 0", ("n",))
+def _eval_k0_reduction(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
-        yield _check(
-            "k0-reduction",
-            (("n", n),),
-            sk.poly_closed(n, 0),
-            falling_factorial_poly(n).shift(-1),
-        )
+        yield (n,), sk.poly_closed(n, 0), falling_factorial_poly(n).shift(-1)
 
 
-def _eval_addition(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "eq34.addition",
+    "C_n^(k)(x+y) = sum_j C(n,j) C_j^(k)(x) (y)_{n-j}",
+    "Equation (34)",
+    ("n", "k", "y"),
+)
+def _eval_addition(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
             shifted_source = sk.poly_closed(n, k)
             for y in cfg.y_values:
-                yield _check(
-                    "eq34.addition",
-                    (("n", n), ("k", k), ("y", y)),
-                    shifted_source.shift(y),
-                    sk.addition_rhs(n, k, y),
-                )
+                yield (n, k, y), shifted_source.shift(y), sk.addition_rhs(n, k, y)
 
 
-def _eval_difference(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "difference",
+    "C_n^(k)(x+1) - C_n^(k)(x) = n C_{n-1}^(k)(x)",
+    "display after Equation (34)",
+    ("n", "k"),
+)
+def _eval_difference(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for k in cfg.ks:
-            lhs, rhs = sk.difference_sides(n, k)
-            yield _check("difference", (("n", n), ("k", k)), lhs, rhs)
+            yield (n, k), *sk.difference_sides(n, k)
 
 
-def _eval_thm2(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm2.recurrence",
+    "C_{n+1}^(k)(x) = x C_n^(k)(x-1)"
+    " - sum_j {sum_l S1(n,l)(-1)^(l-j) C(l,j)/(l-j+2)^k} (x-1)^j",
+    "Theorem 2",
+    ("n", "k"),
+)
+def _eval_thm2(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
-            yield _check(
-                "thm2.recurrence",
-                (("n", n), ("k", k)),
-                sk.recurrence_theorem2_rhs(n, k),
-                sk.poly_closed(n + 1, k),
-            )
+            yield (n, k), sk.recurrence_theorem2_rhs(n, k), sk.poly_closed(n + 1, k)
 
 
-def _eval_thm3(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm3.recurrence",
+    "C_n^(k)(x) = x C_{n-1}^(k)(x-1)"
+    " + (1/n) sum_l C(n,l) B_l^{(l)}(1) {C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1)}",
+    "Theorem 3",
+    ("n", "k"),
+)
+def _eval_thm3(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for k in cfg.ks:
-            yield _check(
-                "thm3.recurrence",
-                (("n", n), ("k", k)),
-                sk.recurrence_theorem3_rhs(n, k),
-                sk.poly_closed(n, k),
-            )
+            yield (n, k), sk.recurrence_theorem3_rhs(n, k), sk.poly_closed(n, k)
 
 
-def _eval_lif_derivative(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "eq39.lif-derivative",
+    "t Lif_k'(t) = Lif_{k-1}(t) - Lif_k(t)",
+    "Equation (39)",
+    ("k",),
+)
+def _eval_lif_derivative(cfg: GridConfig):
     order = LIF_DERIVATIVE_ORDER
     for k in cfg.ks:
         lhs = seq.lif_series(k, order).derivative().multiply_by_t()
         rhs = seq.lif_series(k - 1, order) - seq.lif_series(k, order)
-        yield _check("eq39.lif-derivative", (("k", k),), lhs, rhs)
+        yield (k,), lhs, rhs
 
 
-def _eval_thm4_general(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm4.general",
+    "sum_l m! C(n,l+m) S1(l+m,m) C_{n-l-m}^(k)"
+    " = sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)"
+    " {(m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1)}",
+    "Theorem 4",
+    ("n", "m", "k"),
+)
+def _eval_thm4_general(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for m in range(1, n + 1):
             for k in cfg.ks:
-                lhs, rhs = sk.theorem4_sides(n, m, k)
-                yield _check("thm4.general", (("n", n), ("m", m), ("k", k)), lhs, rhs)
+                yield (n, m, k), *sk.theorem4_sides(n, m, k)
 
 
-def _eval_thm4_m1(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm4.m1-corrected",
+    "C_{n-1}^(k-1)(-1) = sum_{l=0}^{n-1} (-1)^l l! C(n,l+1) C_{n-l-1}^(k)",
+    "Theorem 4, m = 1 case with the left index corrected to n-1",
+    ("n", "k"),
+)
+def _eval_thm4_m1(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for k in cfg.ks:
-            lhs, rhs = sk.theorem4_m1_corrected_sides(n, k)
-            yield _check("thm4.m1-corrected", (("n", n), ("k", k)), lhs, rhs)
+            yield (n, k), *sk.theorem4_m1_corrected_sides(n, k)
 
 
-def _eval_derivative(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "eq47.derivative",
+    "d/dx C_n^(k)(x) = (-1)^n n! sum_{l<n} (-1)^(l-1)/((n-l) l!) C_l^(k)(x)",
+    "remark after Equation (47)",
+    ("n", "k"),
+)
+def _eval_derivative(cfg: GridConfig):
     for n in range(1, cfg.n_max + 1):
         for k in cfg.ks:
-            yield _check(
-                "eq47.derivative",
-                (("n", n), ("k", k)),
-                sk.derivative_formula(n, k),
-                sk.poly_closed(n, k).derivative(),
-            )
+            yield (n, k), sk.derivative_formula(n, k), sk.poly_closed(n, k).derivative()
 
 
-def _eval_thm5_basis(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm5.bernoulli-basis",
+    "C_n^(k)(x) = sum_m C_{n,m} B_m^{(r)}(x), C_{n,m} the Stirling/weight double sum",
+    "Theorem 5",
+    ("n", "k", "r"),
+)
+def _eval_thm5_basis(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
             for r in cfg.rs:
                 matrix = sk.connection_to_bernoulli(n, k, r)
-                yield _check(
-                    "thm5.bernoulli-basis",
-                    (("n", n), ("k", k), ("r", r)),
-                    matrix.reconstruct(),
-                    sk.poly_closed(n, k),
-                )
+                yield (n, k, r), matrix.reconstruct(), sk.poly_closed(n, k)
 
 
-def _eval_thm5_weights(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm5.weights-3way",
+    "B_a^{(a-r+1)}(1) = N_a^{(-r)}(0) = multinomial convolution of b-numbers"
+    " = a![t^a](t/log(1+t))^r",
+    "Equations (50), (52) and (54)",
+    ("r", "a", "route"),
+)
+def _eval_thm5_weights(cfg: GridConfig):
     for r in cfg.rs:
         power = seq.t_over_log1p_series(cfg.n_max + 1) ** r
         for a in range(cfg.n_max + 1):
             oracle = power.sequence_value(a)
             for route in sk.WeightRoute:
-                yield _check(
-                    "thm5.weights-3way",
-                    (("r", r), ("a", a), ("route", route.value)),
-                    sk.bernoulli2nd_power_weight(a, r, route),
-                    oracle,
-                )
+                yield (r, a, route.value), sk.bernoulli2nd_power_weight(a, r, route), oracle
 
 
-def _eval_thm6_basis(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm6.frobenius-basis",
+    "C_n^(k)(x) = sum_m C_{n,m} H_m^{(r)}(x|lambda)",
+    "Theorem 6",
+    ("n", "k", "r", "lambda"),
+)
+def _eval_thm6_basis(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
             for r in cfg.rs:
                 for lam in cfg.lambdas:
                     matrix = sk.connection_to_frobenius(n, k, r, lam)
-                    yield _check(
-                        "thm6.frobenius-basis",
-                        (("n", n), ("k", k), ("r", r), ("lambda", lam)),
-                        matrix.reconstruct(),
-                        sk.poly_closed(n, k),
-                    )
+                    yield (n, k, r, lam), matrix.reconstruct(), sk.poly_closed(n, k)
 
 
-def _eval_thm7_basis(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "thm7.falling-basis",
+    "C_n^(k)(x) = sum_m C(n,m) C_{n-m}^(k) (x)_m",
+    "Theorem 7",
+    ("n", "k"),
+)
+def _eval_thm7_basis(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         for k in cfg.ks:
-            yield _check(
-                "thm7.falling-basis",
-                (("n", n), ("k", k)),
-                sk.connection_to_falling(n, k).reconstruct(),
-                sk.poly_closed(n, k),
-            )
+            yield (n, k), sk.connection_to_falling(n, k).reconstruct(), sk.poly_closed(n, k)
 
 
-def _eval_stirling_eq6(cfg: GridConfig) -> Iterator[Check]:
+@_identity("stirling.eq6", "(x)_n = sum_l S1(n,l) x^l", "Equation (6)", ("n",))
+def _eval_stirling_eq6(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         lhs = Polynomial(seq.stirling1(n, l) for l in range(n + 1))
-        yield _check("stirling.eq6", (("n", n),), lhs, falling_factorial_poly(n))
+        yield (n,), lhs, falling_factorial_poly(n)
 
 
-def _eval_stirling_eq7(cfg: GridConfig) -> Iterator[Check]:
+@_identity("stirling.eq7", "n! [t^n] (log(1+t))^m / m! = S1(n,m)", "Equation (7)", ("n", "m"))
+def _eval_stirling_eq7(cfg: GridConfig):
     base = log1p_series(cfg.n_max + 1)
     power = base**0
     for m in range(STIRLING_GF_MAX_POWER + 1):
@@ -382,219 +441,30 @@ def _eval_stirling_eq7(cfg: GridConfig) -> Iterator[Check]:
             power = power * base
         scale = Fraction(1, factorial(m))
         for n in range(cfg.n_max + 1):
-            lhs = power.sequence_value(n) * scale
-            yield _check(
-                "stirling.eq7",
-                (("n", n), ("m", m)),
-                lhs,
-                Fraction(seq.stirling1(n, m)),
-            )
+            yield (n, m), power.sequence_value(n) * scale, Fraction(seq.stirling1(n, m))
 
 
-def _eval_narumi(cfg: GridConfig) -> Iterator[Check]:
+@_identity(
+    "narumi.eq52",
+    "N_n^{(a)}(x) = B_n^{(n+a+1)}(x+1)",
+    "remark after Equation (51), indices read as swapped",
+    ("n", "a"),
+)
+def _eval_narumi(cfg: GridConfig):
     spread = cfg.r_range[1]
     for n in range(cfg.n_max + 1):
         for a in range(-spread, spread + 1):
-            yield _check(
-                "narumi.eq52",
-                (("n", n), ("a", a)),
-                seq.narumi_poly(n, a),
-                seq.bernoulli_high_order_poly(n, n + a + 1).shift(1),
-            )
-
-
-_CATALOG: tuple[tuple[IdentityInfo, Evaluator], ...] = (
-    (
-        IdentityInfo(
-            "thm1.coeff",
-            "sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m)/(m-j+1)^k"
-            " = sum_{l=j-1}^{n-1} (-1)^(l+1-j) C(n-1,l) C(l+1,j) B_{n-1-l}^{(n)}/(l+2-j)^k",
-            "Theorem 1",
-            ("n", "j", "k"),
-        ),
-        _eval_thm1_coeff,
-    ),
-    (
-        IdentityInfo(
-            "thm1.numbers",
-            "C_n^(k) = sum_m S1(n,m)(-1)^m/(m+1)^k"
-            " = sum_l (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)}/(l+2)^k",
-            "Theorem 1",
-            ("n", "k"),
-        ),
-        _eval_thm1_numbers,
-    ),
-    (
-        IdentityInfo(
-            "eq5.k1-reduction",
-            "C_n^(1)(x) = b_n(x-1) = B_n^{(n)}(x)",
-            "Equation (5)",
-            ("n", "form"),
-        ),
-        _eval_k1_reduction,
-    ),
-    (
-        IdentityInfo(
-            "k0-reduction",
-            "C_n^(0)(x) = (x-1)_n",
-            "Equation (3) at k = 0",
-            ("n",),
-        ),
-        _eval_k0_reduction,
-    ),
-    (
-        IdentityInfo(
-            "eq34.addition",
-            "C_n^(k)(x+y) = sum_j C(n,j) C_j^(k)(x) (y)_{n-j}",
-            "Equation (34)",
-            ("n", "k", "y"),
-        ),
-        _eval_addition,
-    ),
-    (
-        IdentityInfo(
-            "difference",
-            "C_n^(k)(x+1) - C_n^(k)(x) = n C_{n-1}^(k)(x)",
-            "display after Equation (34)",
-            ("n", "k"),
-        ),
-        _eval_difference,
-    ),
-    (
-        IdentityInfo(
-            "thm2.recurrence",
-            "C_{n+1}^(k)(x) = x C_n^(k)(x-1)"
-            " - sum_j {sum_l S1(n,l)(-1)^(l-j) C(l,j)/(l-j+2)^k} (x-1)^j",
-            "Theorem 2",
-            ("n", "k"),
-        ),
-        _eval_thm2,
-    ),
-    (
-        IdentityInfo(
-            "thm3.recurrence",
-            "C_n^(k)(x) = x C_{n-1}^(k)(x-1)"
-            " + (1/n) sum_l C(n,l) B_l^{(l)}(1) {C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1)}",
-            "Theorem 3",
-            ("n", "k"),
-        ),
-        _eval_thm3,
-    ),
-    (
-        IdentityInfo(
-            "eq39.lif-derivative",
-            "t Lif_k'(t) = Lif_{k-1}(t) - Lif_k(t)",
-            "Equation (39)",
-            ("k",),
-        ),
-        _eval_lif_derivative,
-    ),
-    (
-        IdentityInfo(
-            "thm4.general",
-            "sum_l m! C(n,l+m) S1(l+m,m) C_{n-l-m}^(k)"
-            " = sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)"
-            " {(m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1)}",
-            "Theorem 4",
-            ("n", "m", "k"),
-        ),
-        _eval_thm4_general,
-    ),
-    (
-        IdentityInfo(
-            "thm4.m1-corrected",
-            "C_{n-1}^(k-1)(-1) = sum_{l=0}^{n-1} (-1)^l l! C(n,l+1) C_{n-l-1}^(k)",
-            "Theorem 4, m = 1 case with the left index corrected to n-1",
-            ("n", "k"),
-        ),
-        _eval_thm4_m1,
-    ),
-    (
-        IdentityInfo(
-            "eq47.derivative",
-            "d/dx C_n^(k)(x) = (-1)^n n! sum_{l<n} (-1)^(l-1)/((n-l) l!) C_l^(k)(x)",
-            "remark after Equation (47)",
-            ("n", "k"),
-        ),
-        _eval_derivative,
-    ),
-    (
-        IdentityInfo(
-            "thm5.bernoulli-basis",
-            "C_n^(k)(x) = sum_m C_{n,m} B_m^{(r)}(x), C_{n,m} the Stirling/weight double sum",
-            "Theorem 5",
-            ("n", "k", "r"),
-        ),
-        _eval_thm5_basis,
-    ),
-    (
-        IdentityInfo(
-            "thm5.weights-3way",
-            "B_a^{(a-r+1)}(1) = N_a^{(-r)}(0) = multinomial convolution of b-numbers"
-            " = a![t^a](t/log(1+t))^r",
-            "Equations (50), (52) and (54)",
-            ("r", "a", "route"),
-        ),
-        _eval_thm5_weights,
-    ),
-    (
-        IdentityInfo(
-            "thm6.frobenius-basis",
-            "C_n^(k)(x) = sum_m C_{n,m} H_m^{(r)}(x|lambda)",
-            "Theorem 6",
-            ("n", "k", "r", "lambda"),
-        ),
-        _eval_thm6_basis,
-    ),
-    (
-        IdentityInfo(
-            "thm7.falling-basis",
-            "C_n^(k)(x) = sum_m C(n,m) C_{n-m}^(k) (x)_m",
-            "Theorem 7",
-            ("n", "k"),
-        ),
-        _eval_thm7_basis,
-    ),
-    (
-        IdentityInfo(
-            "stirling.eq6",
-            "(x)_n = sum_l S1(n,l) x^l",
-            "Equation (6)",
-            ("n",),
-        ),
-        _eval_stirling_eq6,
-    ),
-    (
-        IdentityInfo(
-            "stirling.eq7",
-            "n! [t^n] (log(1+t))^m / m! = S1(n,m)",
-            "Equation (7)",
-            ("n", "m"),
-        ),
-        _eval_stirling_eq7,
-    ),
-    (
-        IdentityInfo(
-            "narumi.eq52",
-            "N_n^{(a)}(x) = B_n^{(n+a+1)}(x+1)",
-            "remark after Equation (51), indices read as swapped",
-            ("n", "a"),
-        ),
-        _eval_narumi,
-    ),
-)
+            rhs = seq.bernoulli_high_order_poly(n, n + a + 1).shift(1)
+            yield (n, a), seq.narumi_poly(n, a), rhs
 
 
 def catalog() -> tuple[IdentityInfo, ...]:
     """All verifiable identities, in catalog order."""
-    return tuple(info for info, _ in _CATALOG)
+    return tuple(info for info, _ in _IDENTITIES.values())
 
 
 def catalog_ids() -> tuple[str, ...]:
-    return tuple(info.id for info, _ in _CATALOG)
-
-
-_EVALUATORS: dict[str, Evaluator] = {info.id: fn for info, fn in _CATALOG}
+    return tuple(_IDENTITIES)
 
 
 def _param_key(value: int | Fraction | str):
@@ -613,8 +483,11 @@ def run_suite(config: GridConfig | None = None) -> VerificationReport:
     selected = cfg.identities if cfg.identities is not None else catalog_ids()
     checks: list[Check] = []
     for identity in sorted(set(selected)):
+        info, evaluate = _IDENTITIES[identity]
         try:
-            checks.extend(_EVALUATORS[identity](cfg))
+            for values, lhs, rhs in evaluate(cfg):
+                params = tuple(zip(info.params, values, strict=True))
+                checks.append(_check(identity, params, lhs, rhs))
         except InsufficientOrderError as exc:
             raise GridConfigError(
                 f"identity {identity} needs truncation order >= {exc.required}, "

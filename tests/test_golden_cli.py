@@ -39,3 +39,5 @@ def test_corpus_covers_every_subcommand_and_format():
         expected |= {(name, choice) for choice in fmt.choices}
     covered = {(e["argv"][0], e["argv"][e["argv"].index("--format") + 1]) for e in CORPUS}
     assert covered == expected
+    (sequence,) = [a for a in subparsers.choices["gen"]._actions if a.dest == "sequence"]
+    assert {e["argv"][1] for e in CORPUS if e["argv"][0] == "gen"} == set(sequence.choices)

@@ -67,6 +67,9 @@ def test_small_grid_passes_and_covers_catalog():
     report = run_suite(SMALL)
     assert report.failure_count == 0
     assert {c.identity for c in report.checks} == set(catalog_ids())
+    declared = {info.id: info.params for info in catalog()}
+    for check in report.checks:
+        assert tuple(name for name, _ in check.params) == declared[check.identity]
 
 
 def test_identity_filter_and_check_count():
@@ -86,11 +89,17 @@ def test_reports_are_deterministic():
 
 
 def test_checks_are_canonically_ordered():
-    report = run_suite(SMALL)
-    keys = [(c.identity, tuple(str(v) for _, v in c.params)) for c in report.checks]
-    assert sorted(keys, key=lambda t: t[0]) == [k for k in sorted(keys, key=lambda t: t[0])]
-    identities = [c.identity for c in report.checks]
-    assert identities == sorted(identities)
+    # The addition formula runs y in grid order, 1 before 1/2, so the report
+    # is in canonical order only if the runner sorts it.
+    report = run_suite(GridConfig(n_max=2, k_range=(-1, 1), y_values=(F(1), F(1, 2))))
+    ys = [dict(c.params)["y"] for c in report.checks if c.identity == "eq34.addition"]
+    assert ys[:2] == [F(1, 2), F(1)]
+
+    def canonical(check):
+        values = tuple((1, v) if isinstance(v, str) else (0, F(v)) for _, v in check.params)
+        return (check.identity, values)
+
+    assert list(report.checks) == sorted(report.checks, key=canonical)
 
 
 def test_rows_schema():
@@ -160,6 +169,7 @@ def test_fault_injection_text_prints_both_sides(monkeypatch):
         {"r_range": (3, 1)},
         {"lambdas": (F(1),)},
         {"identities": ("no-such-identity",)},
+        {"n_max": 64},
     ],
 )
 def test_config_validation(kwargs):
