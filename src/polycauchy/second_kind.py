@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 
 from .memo import grown_value
 from .poly import (
@@ -113,9 +113,16 @@ def number_oracle(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Closed-form route
 
+def _check_index(n: int) -> None:
+    """Refuse a negative degree, as the generating-function route does."""
+    if n < 0:
+        raise ValueError("sequence index must be non-negative")
+
+
 @lru_cache(maxsize=None)
 def number_closed(n: int, k: int) -> Fraction:
     """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k."""
+    _check_index(n)
     total = Fraction(0)
     for m in range(n + 1):
         total += stirling1(n, m) * _sign(m) * Fraction(m + 1) ** (-k)
@@ -138,6 +145,7 @@ def number_bernoulli_form(n: int, k: int) -> Fraction:
 def closed_coefficient(n: int, j: int, k: int) -> Fraction:
     """x^j coefficient of C_n^(k)(x):
     sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m) / (m-j+1)^k."""
+    _check_index(n)
     total = Fraction(0)
     for m in range(j, n + 1):
         total += _sign(m - j) * binom(m, j) * stirling1(n, m) * Fraction(m - j + 1) ** (-k)
@@ -166,6 +174,7 @@ def theorem1_rhs_coefficient(n: int, j: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def poly_closed(n: int, k: int) -> Polynomial:
     """C_n^(k)(x), monic of degree n, assembled from ``closed_coefficient``."""
+    _check_index(n)
     return Polynomial(closed_coefficient(n, j, k) for j in range(n + 1))
 
 
@@ -296,10 +305,13 @@ class ConnectionMatrix:
 
     def reconstruct(self) -> Polynomial:
         """Reassemble the polynomial the row claims to expand."""
-        total = Polynomial()
+        coeffs = [Fraction(0)] * len(self.entries)
         for m, c in enumerate(self.entries):
-            total = total + c * basis_member(self.basis, m)
-        return total
+            if not c:
+                continue
+            for i, b in enumerate(basis_member(self.basis, m).coeffs):
+                coeffs[i] += c * b
+        return Polynomial(coeffs)
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
@@ -347,25 +359,30 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
 
     C_{n,m} = sum_{l=0}^{n-m} sum_{a=0}^{r} C(n,l+m) C(r,a) (n-m-l)_a
               (1-lambda)^(-a) S1(l+m,m) C_{n-m-l-a}^(k)
+
+    The inner sum depends on m and l only through N = n-m-l, and (N)_a
+    vanishes for a > N, so it is computed once per N <= n:
+
+    g(N) = sum_{a=0}^{min(r,N)} C(r,a) (N)_a (1-lambda)^(-a) C_{N-a}^(k)
+
+    and the row is the convolution C_{n,m} = sum_{j=m}^{n} C(n,j) S1(j,m) g(n-j),
+    O(nr + n^2) terms instead of O(n^2 r).
     """
     basis = Basis.frobenius_euler(r, lam)
-    lam = basis.param
+    step = 1 / (1 - basis.param)
+    weights = [binom(r, a) * step**a for a in range(r + 1)]
+    g = [
+        sum(weights[a] * perm(big_n, a) * number_closed(big_n - a, k)
+            for a in range(min(r, big_n) + 1))
+        for big_n in range(n + 1)
+    ]
     entries = []
     for m in range(n + 1):
         total = Fraction(0)
-        for l in range(n - m + 1):
-            s = stirling1(l + m, m)
-            if not s:
-                continue
-            prefix = binom(n, l + m) * s
-            for a in range(r + 1):
-                total += (
-                    prefix
-                    * binom(r, a)
-                    * falling_factorial_value(n - m - l, a)
-                    * (1 - lam) ** (-a)
-                    * number_closed(n - m - l - a, k)
-                )
+        for j in range(m, n + 1):
+            s = stirling1(j, m)
+            if s:
+                total += binom(n, j) * s * g[n - j]
         entries.append(total)
     return ConnectionMatrix(n, k, basis, tuple(entries))
 

@@ -3,8 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from polycauchy import second_kind as sk
-from polycauchy.poly import Basis, Polynomial, X, falling_factorial_poly
-from polycauchy.sequences import bernoulli_2nd_poly, bernoulli_high_order_poly
+from polycauchy.poly import (
+    Basis,
+    Polynomial,
+    X,
+    falling_factorial_poly,
+    falling_factorial_value,
+)
+from polycauchy.sequences import bernoulli_2nd_poly, bernoulli_high_order_poly, binom, stirling1
 
 KS = range(-3, 4)
 
@@ -15,6 +21,22 @@ KS = range(-3, 4)
 @pytest.mark.parametrize("k", KS)
 def test_number_degree_zero_is_one(k):
     assert sk.number_closed(0, k) == 1
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda n: sk.number_closed(n, 1),
+        lambda n: sk.number_oracle(n, 1),
+        lambda n: sk.poly_closed(n, 1),
+        lambda n: sk.poly_oracle(n, 1),
+        lambda n: sk.closed_coefficient(n, 0, 1),
+    ],
+    ids=["number_closed", "number_oracle", "poly_closed", "poly_oracle", "closed_coefficient"],
+)
+def test_negative_index_is_refused_by_both_routes(route):
+    with pytest.raises(ValueError, match="sequence index must be non-negative"):
+        route(-1)
 
 
 def test_number_golden_values():
@@ -271,12 +293,78 @@ def test_connection_to_falling_worked_example():
     assert cm.reconstruct() == X**2 - 2 * X + F(5, 6)
 
 
+def _frobenius_row_by_double_sum(n, k, r, lam):
+    """Theorem 6 as printed: a literal double sum over l and a.  Terms with
+    a > n-m-l carry the factor (n-m-l)_a = 0 and are skipped, since their
+    C_{n-m-l-a}^(k) has a negative index."""
+    entries = []
+    for m in range(n + 1):
+        total = F(0)
+        for l in range(n - m + 1):
+            for a in range(r + 1):
+                falling = falling_factorial_value(n - m - l, a)
+                if not falling:
+                    continue
+                total += (
+                    binom(n, l + m)
+                    * binom(r, a)
+                    * falling
+                    * (1 - lam) ** (-a)
+                    * stirling1(l + m, m)
+                    * sk.number_closed(n - m - l - a, k)
+                )
+        entries.append(total)
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("lam", [F(-1), F(1, 2), F(0), F(5, 7)])
+@pytest.mark.parametrize("k", [-3, 0, 2])
+def test_frobenius_row_equals_double_sum(k, lam):
+    for n in range(15):
+        for r in (0, 1, 4, 5):
+            row = sk.connection_to_frobenius(n, k, r, lam).entries
+            assert row == _frobenius_row_by_double_sum(n, k, r, lam), (n, r)
+
+
+def test_frobenius_row_reads_each_number_once_per_shift(monkeypatch):
+    n, r = 20, 4
+    seen = []
+    number_closed = sk.number_closed
+
+    def counted(index, k):
+        seen.append(index)
+        return number_closed(index, k)
+
+    monkeypatch.setattr(sk, "number_closed", counted)
+    sk.connection_to_frobenius(n, 1, r, F(-1, 3))
+    assert len(seen) <= (n + 1) * (r + 1)
+    assert min(seen) >= 0
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [Basis.falling_factorial(), Basis.higher_order_bernoulli(2), Basis.frobenius_euler(3, F(1, 2))],
+    ids=lambda basis: basis.kind.value,
+)
+def test_reconstruct_is_the_weighted_sum_of_members(basis):
+    made = [(F(1),), (F(0),), (F(-2, 3), F(0), F(5), F(0), F(1)), (F(0), F(0), F(7, 2))]
+    rows = [sk.ConnectionMatrix(len(e) - 1, 1, basis, e) for e in made]
+    rows += [sk.connection(n, 0, basis) for n in range(5)]
+    for row in rows:
+        expected = Polynomial()
+        for m, c in enumerate(row.entries):
+            expected = expected + c * sk.basis_member(basis, m)
+        assert row.reconstruct() == expected, row.entries
+
+
 @pytest.mark.parametrize("k", range(-2, 3))
 @pytest.mark.parametrize("n", range(7))
 def test_triangular_solve_agrees_with_formulas(n, k):
     for matrix in (
         sk.connection_to_bernoulli(n, k, 2),
         sk.connection_to_frobenius(n, k, 1, F(-1)),
+        sk.connection_to_frobenius(n, k, 0, F(2)),
+        sk.connection_to_frobenius(n, k, 3, F(2)),
         sk.connection_to_falling(n, k),
     ):
         solved = sk.connection_by_triangular_solve(n, k, matrix.basis)
