@@ -12,7 +12,10 @@ Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
 block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
 
 Exit codes: 0 success, 1 verification failures, 2 usage errors, including
-requests beyond a table's size limit and output files that cannot be written.
+requests beyond a table's size limit, values too large to print and output
+files that cannot be written.  The size flags ``gen --n-max``, ``expand --n``
+and ``series --order`` share one cap, the Stirling table's
+``DEFAULT_STIRLING_LIMIT`` (64), and are checked before any work.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
-from .exact import format_rational, parse_rational
+from .exact import UnprintableRationalError, format_rational, parse_rational
 from .poly import Basis, Polynomial
 from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
 
@@ -37,6 +40,14 @@ __all__ = ["main", "build_parser"]
 
 class UsageError(Exception):
     """Bad arguments discovered after parsing; reported on stderr, exit 2."""
+
+
+def _check_size(flag: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{flag} must be non-negative")
+    cap = seq.DEFAULT_STIRLING_LIMIT
+    if value > cap:
+        raise UsageError(f"Stirling table capped at n_max={cap}; {flag} must be at most {cap}")
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -224,8 +235,7 @@ _GEN = {
 
 
 def _cmd_gen(args) -> int:
-    if args.n_max < 0:
-        raise UsageError("--n-max must be non-negative")
+    _check_size("--n-max", args.n_max)
     name = args.sequence
     required, column, value = _GEN[name]
     params: dict = {"sequence": name, "n_max": args.n_max}
@@ -264,8 +274,7 @@ def _parse_basis_spec(spec: str) -> Basis:
 
 
 def _cmd_expand(args) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be non-negative")
+    _check_size("--n", args.n)
     matrix = sk.connection(args.n, args.k, _parse_basis_spec(args.basis))
     check = "pass" if matrix.reconstruct() == sk.poly_closed(args.n, args.k) else "fail"
     params = {"n": args.n, "k": args.k, "basis": args.basis}
@@ -303,8 +312,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 0:
-        raise UsageError("--order must be non-negative")
+    _check_size("--order", args.order)
     name, _, param = args.which.partition(":")
     order = args.order
     try:
@@ -335,7 +343,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, seq.TableLimitError, OSError) as exc:
+    except (UsageError, seq.TableLimitError, UnprintableRationalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,17 +9,32 @@ verification reports.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-__all__ = ["Rational", "format_rational", "parse_rational"]
+__all__ = ["Rational", "UnprintableRationalError", "format_rational", "parse_rational"]
 
 Rational = Fraction
 
 
+class UnprintableRationalError(ValueError):
+    """A rational with more digits than the interpreter converts to text."""
+
+
 def format_rational(value: Rational | int) -> str:
-    """Serialize as ``"num/den"`` with den > 0; integers come out as ``"n/1"``."""
+    """Serialize as ``"num/den"`` with den > 0; integers come out as ``"n/1"``.
+
+    Python caps int-to-str conversion (4300 digits by default); a value past
+    that cap raises ``UnprintableRationalError``.
+    """
     q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise UnprintableRationalError(
+            "rational too large to print: numerator or denominator exceeds "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -2,10 +2,17 @@
 
 A series stores the coefficients of t^0..t^N for a fixed truncation order N;
 arithmetic is exact through t^N and anything beyond is discarded, never
-approximated.  Coefficients may be Fractions or Polynomials (any exact
-commutative-ring value supporting +, -, * and mixing with ints), which is how
-a generating function carries the variable x: ``binomial_series`` represents
-(1+t)^x, whose t^j coefficient is the polynomial (x)_j / j!.
+approximated.  Coefficients are ints, Fractions or Polynomials; Polynomial
+coefficients are how a generating function carries the variable x:
+``binomial_series`` represents (1+t)^x, whose t^j coefficient is the
+polynomial (x)_j / j!.
+
+Every series product goes through one kernel, ``_convolve``.  It brings each
+operand to integer numerators over one common denominator (FLINT's
+``fmpq_poly`` layout, with a scalar as a one-entry row and a Polynomial as
+its coefficient row), multiplies in ints and builds one Fraction per result
+entry.  The product holds Polynomials if either operand held any, and
+Fractions otherwise; a float coefficient is refused with ``TypeError``.
 
 Series with a removable singularity at t = 0, such as t/log(1+t), are not
 stored as such: build the unit-constant cofactor (here log(1+t)/t, via
@@ -16,7 +23,7 @@ of R[[t]] mod t^(N+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable
 
 from .poly import Polynomial, falling_factorial_poly
@@ -118,10 +125,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(
-            sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))
-        )
+        return TruncatedSeries(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -184,6 +188,53 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
+
+
+def _numerator_rows(coeffs) -> tuple[list[list[int]], int, bool]:
+    """Each coefficient as a row of integer numerators over one common
+    denominator, the lcm of every entry's denominator.
+
+    A scalar is a row of one entry, a ``Polynomial`` its coefficient tuple
+    (the zero polynomial an empty row).  Also says whether any coefficient
+    was a ``Polynomial``.
+    """
+    entries = []
+    has_poly = False
+    for c in coeffs:
+        if isinstance(c, Polynomial):
+            entries.append(c.coeffs)
+            has_poly = True
+        else:
+            entries.append((c,))
+    try:
+        den = lcm(*(e.denominator for entry in entries for e in entry))
+        rows = [[e.numerator * (den // e.denominator) for e in entry] for entry in entries]
+    except AttributeError:
+        # Floats (and other inexact values) have no numerator/denominator.
+        raise TypeError("series coefficients must be int, Fraction or Polynomial") from None
+    return rows, den, has_poly
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two truncated series of equal order:
+    products accumulate as ints, and each result entry is reduced once."""
+    rows_a, den_a, poly_a = _numerator_rows(a)
+    rows_b, den_b, poly_b = _numerator_rows(b)
+    sums = []
+    for n in range(len(rows_a)):
+        acc = [0]
+        for x, y in zip(rows_a, rows_b[n::-1]):
+            if len(acc) < len(x) + len(y) - 1:
+                acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
+            for p, xp in enumerate(x):
+                if xp:
+                    for q, yq in enumerate(y, p):
+                        acc[q] += xp * yq
+        sums.append(acc)
+    den = den_a * den_b
+    if poly_a or poly_b:
+        return [Polynomial(Fraction(v, den) for v in acc) for acc in sums]
+    return [Fraction(acc[0], den) for acc in sums]
 
 
 def constant_series(value, order: int) -> TruncatedSeries:

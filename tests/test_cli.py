@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from polycauchy import second_kind as sk
+from polycauchy import sequences as seq
 from polycauchy.cli import main
 from polycauchy.exact import parse_rational
 from polycauchy.poly import Polynomial
@@ -92,6 +93,37 @@ def test_table_limit_is_a_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: Stirling table capped at n_max=64")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, values", [
+    (("gen", "polycauchy2-number", "--k", "1", "--n-max"), lambda rows: rows),
+    (("expand", "--k", "1", "--basis", "falling", "--n"), lambda rows: rows[0]["coefficients"]),
+    (("series", "lif:1", "--order"), lambda rows: rows),
+], ids=["gen", "expand", "series"])
+def test_size_flags_share_the_stirling_cap(capsys, monkeypatch, argv, values):
+    code, out, _ = run_cli(capsys, *argv, "64", "--format", "json")
+    assert code == 0
+    assert len(values(json.loads(out)["rows"])) == 65
+    # Beyond the cap the flag is refused before any value is computed.
+    for name in ("number_closed", "connection", "gf_number_series"):
+        monkeypatch.setattr(sk, name, None)
+    monkeypatch.setattr(seq, "lif_series", None)
+    for size in ("65", "2000"):
+        code, out, err = run_cli(capsys, *argv, size)
+        assert (code, out) == (2, "")
+        assert err == f"error: Stirling table capped at n_max=64; {argv[-1]} must be at most 64\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "polycauchy2-number", "--k", "100000", "--n-max", "2"),
+    ("expand", "--n", "3", "--k", "-100000", "--basis", "falling"),
+], ids=["gen", "expand"])
+def test_unprintable_rational_is_a_usage_error(capsys, argv):
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: rational too large to print")
+        assert "Traceback" not in err
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycauchy.exact import format_rational, parse_rational
+from polycauchy.exact import UnprintableRationalError, format_rational, parse_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=30)
 nonzero_rationals = rationals.filter(bool)
@@ -72,6 +72,12 @@ def test_canonical_form_is_idempotent(num, den):
 )
 def test_format(value, text):
     assert format_rational(value) == text
+
+
+@pytest.mark.parametrize("value", [Fraction(3**10000), Fraction(1, 7**6000)])
+def test_format_refuses_values_past_the_digit_cap(value):
+    with pytest.raises(UnprintableRationalError, match="too large to print"):
+        format_rational(value)
 
 
 @pytest.mark.parametrize("text, expected", [("-5/6", Fraction(-5, 6)), ("3", Fraction(3)), ("6/4", Fraction(3, 2))])

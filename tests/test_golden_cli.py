@@ -4,9 +4,15 @@
 stdout.  It is test data: edit it by hand only when an output change is
 intended.  The ``verify --format json`` entry omits ``meta.generated_at``,
 the one field that differs between runs.
+
+The benchmark's reference file ``perfbench/golden.json`` also holds the
+SHA-256 of 44 ``gen --n-max 30 --format json`` tables, recorded before
+series products went through integer numerators; they are replayed here too.
+The file is only read, and nothing is imported from ``perfbench/``.
 """
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -17,6 +23,9 @@ from polycauchy.cli import build_parser, main
 
 CORPUS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
 STAMP = re.compile(r'\n *"generated_at": "[^"]*"')
+LARGE_N_TABLES = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8")
+)["gen"]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: " ".join(e["argv"]))
@@ -41,3 +50,10 @@ def test_corpus_covers_every_subcommand_and_format():
     assert covered == expected
     (sequence,) = [a for a in subparsers.choices["gen"]._actions if a.dest == "sequence"]
     assert {e["argv"][1] for e in CORPUS if e["argv"][0] == "gen"} == set(sequence.choices)
+
+
+@pytest.mark.parametrize("key", sorted(LARGE_N_TABLES))
+def test_large_n_table_matches_recorded_digest(capsys, key):
+    assert main(["gen", *key.split(), "--n-max", "30", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_N_TABLES[key]

@@ -18,6 +18,17 @@ from polycauchy.series import (
 )
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+# Scalars as series coefficients: bare ints and zero entries included.
+scalars = st.one_of(small_rationals, st.integers(-5, 5), st.just(0))
+# Polynomial coefficients, the zero polynomial (empty list) included.
+polys = st.lists(scalars, max_size=4).map(Polynomial)
+RINGS = {"scalar": scalars, "polynomial": polys, "mixed": st.one_of(scalars, polys)}
+
+
+def schoolbook_product(a, b):
+    """Reference: [t^n](a*b) = sum a_i * b_(n-i) in the coefficient ring."""
+    a, b = a.coeffs, b.coeffs
+    return TruncatedSeries(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a)))
 
 
 def series_of(*coeffs):
@@ -34,8 +45,50 @@ def test_mul_geometric_inverse():
 
 
 def test_mul_order_mismatch():
-    with pytest.raises(OrderMismatchError, match="mismatched orders"):
-        series_of(1, 1) * series_of(1, 1, 1)
+    for left, right in [
+        (series_of(1, 1), series_of(1, 1, 1)),
+        (TruncatedSeries([Polynomial([0, 1])]), binomial_series(1)),
+        (binomial_series(3), exp_series(2)),
+    ]:
+        with pytest.raises(OrderMismatchError, match="mismatched orders"):
+            left * right
+
+
+@pytest.mark.parametrize("left", RINGS)
+@pytest.mark.parametrize("right", RINGS)
+@settings(max_examples=30)
+@given(order=st.integers(0, 5), data=st.data())
+def test_mul_equals_schoolbook_product(left, right, order, data):
+    a, b = (
+        TruncatedSeries(data.draw(st.lists(RINGS[ring], min_size=order + 1, max_size=order + 1)))
+        for ring in (left, right)
+    )
+    product = a * b
+    assert product == schoolbook_product(a, b)
+    if any(isinstance(c, Polynomial) for c in a.coeffs + b.coeffs):
+        assert all(isinstance(c, Polynomial) for c in product.coeffs)
+    else:
+        assert all(type(c) is F for c in product.coeffs)
+
+
+def test_mul_of_int_series_yields_fractions():
+    product = TruncatedSeries([1, 2, 0]) * TruncatedSeries([3, 0, -1])
+    assert product == TruncatedSeries([3, 6, -1])
+    assert all(type(c) is F for c in product.coeffs)
+
+
+def test_mul_at_order_zero_and_with_zero_polynomials():
+    assert (series_of(F(2, 3)) * series_of(F(3, 4))).coeffs == (F(1, 2),)
+    zero = TruncatedSeries([Polynomial(), Polynomial()])
+    assert zero * binomial_series(1) == TruncatedSeries([Polynomial(), Polynomial()])
+    assert (TruncatedSeries([Polynomial()]) * series_of(5)).coeffs == (Polynomial(),)
+
+
+def test_mul_refuses_float_coefficients():
+    with pytest.raises(TypeError, match="int, Fraction or Polynomial"):
+        TruncatedSeries([1.5, 0]) * series_of(1, 1)
+    with pytest.raises(TypeError, match="int, Fraction or Polynomial"):
+        exp_series(1) * TruncatedSeries([1, 0.25])
 
 
 @pytest.mark.parametrize(
