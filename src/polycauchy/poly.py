@@ -5,7 +5,14 @@ trimming trailing zeros, so identity checks are literal ``==`` comparisons.
 The zero polynomial is the empty coefficient tuple.  Scalars (``int`` or
 ``Fraction``) mix freely in arithmetic and compare equal to constant
 polynomials, which lets polynomial-valued and rational-valued code share the
-same formulas.
+same formulas.  A float is inexact and is refused with ``TypeError``, as a
+coefficient, a shift offset or an evaluation point.
+
+``shift`` and ``linear_combination`` work in FLINT's ``fmpq_poly`` layout:
+the coefficients are brought to integer numerators over one common
+denominator (``_integer_rows``, shared with the series product kernel), the
+arithmetic runs in ints, and each result coefficient is one ``Fraction``.
+No intermediate polynomial is built.
 
 The module also holds the basis tags (``Basis``) of the connection-coefficient
 expansions and the triangular solve against a monic basis.  The expansion rows
@@ -19,11 +26,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Polynomial",
     "X",
+    "linear_combination",
     "BasisKind",
     "Basis",
     "falling_factorial_poly",
@@ -34,13 +43,29 @@ __all__ = [
 _SCALARS = (int, Fraction)
 
 
+def _exact(value: Fraction | int) -> Fraction:
+    """``value`` as a Fraction; a float is inexact and refused."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"polynomial arithmetic is exact; got the float {value!r}")
+    return Fraction(value)
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Rows of rationals as rows of integer numerators over one common
+    denominator, the lcm of every entry's denominator."""
+    den = lcm(*(e.denominator for row in rows for e in row))
+    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+
 class Polynomial:
     """Polynomial in x with exact rational coefficients; ``coeffs[i] * x**i``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        items = [Fraction(c) for c in coeffs]
+        items = [c if type(c) is Fraction else _exact(c) for c in coeffs]
         while items and not items[-1]:
             items.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(items)
@@ -161,7 +186,7 @@ class Polynomial:
 
     def __call__(self, point: Fraction | int) -> Fraction:
         """Evaluate at ``point`` by Horner's scheme, exactly."""
-        point = Fraction(point)
+        point = _exact(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -172,12 +197,21 @@ class Polynomial:
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
 
     def shift(self, offset: Fraction | int) -> Polynomial:
-        """The polynomial ``p(x + offset)``, expanded exactly."""
-        linear = Polynomial((Fraction(offset), Fraction(1)))
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * linear + c
-        return acc
+        """The polynomial ``p(x + offset)``, expanded exactly.
+
+        An integer Taylor shift: with p(x) = sum_i P_i x^i / D and
+        offset = u/v, Horner's scheme Q <- Q (v x + u) + P_i v^(n-i) runs in
+        ints, and p(x + offset) = Q(x) / (D v^n).
+        """
+        offset = _exact(offset)
+        u, v = offset.numerator, offset.denominator
+        (nums,), den = _integer_rows((self.coeffs,))
+        acc: list[int] = []
+        for i, c in enumerate(reversed(nums)):
+            acc = [u * a + v * b for a, b in zip(acc + [0], [0] + acc)]
+            acc[0] += c * v**i
+        den *= v ** max(self.degree, 0)
+        return Polynomial(Fraction(a, den) for a in acc)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -202,6 +236,29 @@ class Polynomial:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
+
+
+def linear_combination(
+    weights: Iterable[Fraction | int], polys: Iterable[Polynomial]
+) -> Polynomial:
+    """sum_i weights[i] * polys[i], summed in integer numerators.
+
+    The weights and the polynomials' coefficients are each brought to one
+    common denominator, products accumulate as ints, and each result
+    coefficient is one ``Fraction``.  Zero weights and zero polynomials are
+    skipped; inputs of unequal length raise ``ValueError``.
+    """
+    terms = [(w, p.coeffs) for w, p in zip(map(_exact, weights), polys, strict=True) if w and p]
+    if not terms:
+        return Polynomial()
+    (scales,), w_den = _integer_rows([[w for w, _ in terms]])
+    rows, p_den = _integer_rows([row for _, row in terms])
+    acc = [0] * max(map(len, rows))
+    for w, row in zip(scales, rows):
+        for i, c in enumerate(row):
+            acc[i] += w * c
+    den = w_den * p_den
+    return Polynomial(Fraction(a, den) for a in acc)
 
 
 def _as_poly(value: object) -> Polynomial:

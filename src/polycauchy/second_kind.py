@@ -38,6 +38,7 @@ from .poly import (
     expand_in_monic_basis,
     falling_factorial_poly,
     falling_factorial_value,
+    linear_combination,
 )
 from .sequences import (
     bernoulli2nd_convolution,
@@ -184,10 +185,10 @@ def poly_closed(n: int, k: int) -> Polynomial:
 def addition_rhs(n: int, k: int, y: Fraction | int) -> Polynomial:
     """sum_{j=0}^{n} C(n,j) C_j^(k)(x) (y)_{n-j}; equals C_n^(k)(x+y)."""
     y = Fraction(y)
-    total = Polynomial()
-    for j in range(n + 1):
-        total = total + binom(n, j) * falling_factorial_value(y, n - j) * poly_closed(j, k)
-    return total
+    return linear_combination(
+        [binom(n, j) * falling_factorial_value(y, n - j) for j in range(n + 1)],
+        [poly_closed(j, k) for j in range(n + 1)],
+    )
 
 
 def difference_sides(n: int, k: int) -> tuple[Polynomial, Polynomial]:
@@ -200,30 +201,34 @@ def difference_sides(n: int, k: int) -> tuple[Polynomial, Polynomial]:
 
 def recurrence_theorem2_rhs(n: int, k: int) -> Polynomial:
     """x C_n^(k)(x-1) - sum_j { sum_{l=j}^{n} S1(n,l) (-1)^(l-j) C(l,j)
-    / (l-j+2)^k } (x-1)^j; equals C_{n+1}^(k)(x)."""
-    acc = X * poly_closed(n, k).shift(-1)
-    x_minus_1 = Polynomial((-1, 1))
+    / (l-j+2)^k } (x-1)^j; equals C_{n+1}^(k)(x).
+
+    The sum is the polynomial with the braced weights as coefficients,
+    shifted by -1."""
+    weights = []
     for j in range(n + 1):
         weight = Fraction(0)
         for l in range(j, n + 1):
             weight += stirling1(n, l) * _sign(l - j) * binom(l, j) * Fraction(l - j + 2) ** (-k)
-        acc = acc - weight * x_minus_1**j
-    return acc
+        weights.append(weight)
+    return X * poly_closed(n, k).shift(-1) - Polynomial(weights).shift(-1)
 
 
 def recurrence_theorem3_rhs(n: int, k: int) -> Polynomial:
     """x C_{n-1}^(k)(x-1) + (1/n) sum_{l=0}^{n} C(n,l) B_l^{(l)}(1)
-    { C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1) }; equals C_n^(k)(x) for n >= 1."""
+    { C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1) }; equals C_n^(k)(x) for n >= 1.
+
+    Shifting is linear, so the braced sum is summed first and shifted once."""
     if n < 1:
         raise ValueError("the descent recurrence needs n >= 1")
-    acc = X * poly_closed(n - 1, k).shift(-1)
-    mix = Polynomial()
+    weights = []
+    polys = []
     for l in range(n + 1):
-        weight = binom(n, l) * bernoulli_high_order_poly(l, l)(1)
-        mix = mix + weight * (
-            poly_closed(n - l, k - 1).shift(-1) - poly_closed(n - l, k).shift(-1)
-        )
-    return acc + mix / n
+        weight = binom(n, l) * bernoulli_high_order_poly(l, l)(1) / n
+        weights += [weight, -weight]
+        polys += [poly_closed(n - l, k - 1), poly_closed(n - l, k)]
+    mix = linear_combination(weights, polys)
+    return X * poly_closed(n - 1, k).shift(-1) + mix.shift(-1)
 
 
 def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
@@ -263,10 +268,11 @@ def derivative_formula(n: int, k: int) -> Polynomial:
     equals d/dx C_n^(k)(x) for n >= 1."""
     if n < 1:
         raise ValueError("the derivative expansion needs n >= 1")
-    acc = Polynomial()
-    for l in range(n):
-        acc = acc + _sign(l - 1) * Fraction(1, (n - l) * factorial(l)) * poly_closed(l, k)
-    return _sign(n) * factorial(n) * acc
+    scale = _sign(n) * factorial(n)
+    return linear_combination(
+        [scale * _sign(l - 1) * Fraction(1, (n - l) * factorial(l)) for l in range(n)],
+        [poly_closed(l, k) for l in range(n)],
+    )
 
 
 # ---------------------------------------------------------------------------

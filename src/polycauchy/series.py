@@ -23,10 +23,10 @@ of R[[t]] mod t^(N+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Iterable
 
-from .poly import Polynomial, falling_factorial_poly
+from .poly import Polynomial, _integer_rows, falling_factorial_poly
 
 __all__ = [
     "TruncatedSeries",
@@ -207,8 +207,7 @@ def _numerator_rows(coeffs) -> tuple[list[list[int]], int, bool]:
         else:
             entries.append((c,))
     try:
-        den = lcm(*(e.denominator for entry in entries for e in entry))
-        rows = [[e.numerator * (den // e.denominator) for e in entry] for entry in entries]
+        rows, den = _integer_rows(entries)
     except AttributeError:
         # Floats (and other inexact values) have no numerator/denominator.
         raise TypeError("series coefficients must be int, Fraction or Polynomial") from None

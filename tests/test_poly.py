@@ -12,11 +12,22 @@ from polycauchy.poly import (
     expand_in_monic_basis,
     falling_factorial_poly,
     falling_factorial_value,
+    linear_combination,
 )
 from polycauchy.sequences import stirling1
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polynomials = st.lists(small_rationals, max_size=9).map(Polynomial)
+# int and Fraction coefficients, degree up to 12, denominators up to 10^6
+exact_scalars = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+exact_polynomials = st.lists(exact_scalars, max_size=13).map(Polynomial)
+offsets = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
+)
 
 
 def test_trailing_zeros_trimmed():
@@ -83,6 +94,83 @@ def test_shift():
     assert p.shift(0) == p
     # b_2(x) = x^2 - 1/6 shifted by -1 lands on the k=1 degree-2 polynomial
     assert (X**2 - F(1, 6)).shift(-1) == X**2 - 2 * X + F(5, 6)
+
+
+def _shift_by_horner(p, offset):
+    """The reference ``shift``: Horner's scheme over Polynomials."""
+    linear = Polynomial((F(offset), F(1)))
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * linear + c
+    return acc
+
+
+@pytest.mark.parametrize("offset", [0, 1, -1, F(1, 10**6), F(-999_999, 10**6), F(7, 3)])
+@pytest.mark.parametrize(
+    "p",
+    [
+        Polynomial(),
+        Polynomial([F(-5, 7)]),
+        Polynomial([3]),
+        Polynomial(F((-1) ** j * (j + 1), 13 - j) for j in range(13)),
+    ],
+    ids=["zero", "constant", "int-constant", "degree-12"],
+)
+def test_shift_equals_horner_reference(p, offset):
+    assert p.shift(offset) == _shift_by_horner(p, offset)
+
+
+@given(exact_polynomials, offsets)
+def test_shift_equals_horner_reference_everywhere(p, offset):
+    assert p.shift(offset) == _shift_by_horner(p, offset)
+
+
+@given(st.lists(st.tuples(st.one_of(st.just(0), exact_scalars), exact_polynomials), max_size=6))
+def test_linear_combination_equals_naive_sum(terms):
+    weights = [w for w, _ in terms]
+    polys = [p for _, p in terms]
+    assert linear_combination(weights, polys) == sum((w * p for w, p in terms), Polynomial())
+
+
+def test_linear_combination_edge_cases():
+    assert linear_combination([], []) == Polynomial()
+    assert linear_combination([0, 0], [X, X**2]) == Polynomial()
+    assert linear_combination([2, 3], [Polynomial(), X]) == 3 * X
+    assert linear_combination([F(1, 2), -1, 4], [X**3, Polynomial([F(1, 3)]), X]) == (
+        F(1, 2) * X**3 + 4 * X - F(1, 3)
+    )
+    assert linear_combination([1, -1], [X**2 + X, X**2]) == X
+
+
+@pytest.mark.parametrize("weights, polys", [([1, 2], [X]), ([1], [X, X]), ([], [X])])
+def test_linear_combination_refuses_unequal_lengths(weights, polys):
+    with pytest.raises(ValueError):
+        linear_combination(weights, polys)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda: Polynomial((0.1,)),
+        lambda: (X + 1).shift(0.1),
+        lambda: (X + 1)(0.1),
+        lambda: linear_combination([0.5], [X]),
+    ],
+    ids=["init", "shift", "call", "linear_combination"],
+)
+def test_floats_are_refused(use):
+    with pytest.raises(TypeError, match="float"):
+        use()
+
+
+def test_ints_and_fractions_are_accepted():
+    third = F(1, 3)
+    p = Polynomial((1, third))
+    assert p.coeffs == (F(1), third)
+    assert all(type(c) is F for c in p.coeffs)
+    assert p.coeffs[1] is third
+    assert p.shift(1) == p.shift(F(1)) == Polynomial((F(4, 3), third))
+    assert p(3) == p(F(3)) == 2
 
 
 @pytest.mark.parametrize(

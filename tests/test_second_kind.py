@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from polycauchy.poly import (
     falling_factorial_value,
 )
 from polycauchy.sequences import bernoulli_2nd_poly, bernoulli_high_order_poly, binom, stirling1
+from polycauchy.verify import DEFAULT_Y_VALUES
 
 KS = range(-3, 4)
 
@@ -233,6 +235,61 @@ def test_derivative_formula_matches_formal_derivative():
 def test_derivative_formula_domain():
     with pytest.raises(ValueError):
         sk.derivative_formula(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The identity helpers against their literal forms: one Polynomial sum or
+# shift per term of the paper's statement.
+
+def _sign(e):
+    return -1 if e % 2 else 1
+
+
+def _addition_rhs_literal(n, k, y):
+    total = Polynomial()
+    for j in range(n + 1):
+        total = total + binom(n, j) * falling_factorial_value(y, n - j) * sk.poly_closed(j, k)
+    return total
+
+
+def _theorem2_rhs_literal(n, k):
+    acc = X * sk.poly_closed(n, k).shift(-1)
+    x_minus_1 = Polynomial((-1, 1))
+    for j in range(n + 1):
+        weight = F(0)
+        for l in range(j, n + 1):
+            weight += stirling1(n, l) * _sign(l - j) * binom(l, j) * F(l - j + 2) ** (-k)
+        acc = acc - weight * x_minus_1**j
+    return acc
+
+
+def _theorem3_rhs_literal(n, k):
+    acc = X * sk.poly_closed(n - 1, k).shift(-1)
+    mix = Polynomial()
+    for l in range(n + 1):
+        weight = binom(n, l) * bernoulli_high_order_poly(l, l)(1)
+        mix = mix + weight * (
+            sk.poly_closed(n - l, k - 1).shift(-1) - sk.poly_closed(n - l, k).shift(-1)
+        )
+    return acc + mix / n
+
+
+def _derivative_formula_literal(n, k):
+    acc = Polynomial()
+    for l in range(n):
+        acc = acc + _sign(l - 1) * F(1, (n - l) * factorial(l)) * sk.poly_closed(l, k)
+    return _sign(n) * factorial(n) * acc
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("n", range(11))
+def test_identity_helpers_equal_literal_forms(n, k):
+    for y in DEFAULT_Y_VALUES:
+        assert sk.addition_rhs(n, k, y) == _addition_rhs_literal(n, k, y), y
+    assert sk.recurrence_theorem2_rhs(n, k) == _theorem2_rhs_literal(n, k)
+    if n >= 1:
+        assert sk.recurrence_theorem3_rhs(n, k) == _theorem3_rhs_literal(n, k)
+        assert sk.derivative_formula(n, k) == _derivative_formula_literal(n, k)
 
 
 # ---------------------------------------------------------------------------
