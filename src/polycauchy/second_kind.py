@@ -184,7 +184,6 @@ def poly_closed(n: int, k: int) -> Polynomial:
 
 def addition_rhs(n: int, k: int, y: Fraction | int) -> Polynomial:
     """sum_{j=0}^{n} C(n,j) C_j^(k)(x) (y)_{n-j}; equals C_n^(k)(x+y)."""
-    y = Fraction(y)
     return linear_combination(
         [binom(n, j) * falling_factorial_value(y, n - j) for j in range(n + 1)],
         [poly_closed(j, k) for j in range(n + 1)],
@@ -311,13 +310,9 @@ class ConnectionMatrix:
 
     def reconstruct(self) -> Polynomial:
         """Reassemble the polynomial the row claims to expand."""
-        coeffs = [Fraction(0)] * len(self.entries)
-        for m, c in enumerate(self.entries):
-            if not c:
-                continue
-            for i, b in enumerate(basis_member(self.basis, m).coeffs):
-                coeffs[i] += c * b
-        return Polynomial(coeffs)
+        return linear_combination(
+            self.entries, [basis_member(self.basis, m) for m in range(len(self.entries))]
+        )
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:

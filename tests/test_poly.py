@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from polycauchy.poly import (
     falling_factorial_value,
     linear_combination,
 )
+from polycauchy.second_kind import addition_rhs
 from polycauchy.sequences import stirling1
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -142,6 +144,18 @@ def test_linear_combination_edge_cases():
     assert linear_combination([1, -1], [X**2 + X, X**2]) == X
 
 
+def test_linear_combination_holds_no_blocks_between_calls():
+    # Star-unpacking a generator into lcm() left one tuple per call on
+    # CPython's tuple free list, so warm reconstructions kept growing RSS.
+    polys = [Polynomial([F(1, d) for d in range(1, size)]) for size in range(2, 19)]
+    linear_combination([1], polys[:1])
+    before = sys.getallocatedblocks()
+    for _ in range(100):
+        for end in range(1, len(polys) + 1):
+            linear_combination([1] * end, polys[:end])
+    assert sys.getallocatedblocks() - before < 100
+
+
 @pytest.mark.parametrize("weights, polys", [([1, 2], [X]), ([1], [X, X]), ([], [X])])
 def test_linear_combination_refuses_unequal_lengths(weights, polys):
     with pytest.raises(ValueError):
@@ -154,9 +168,22 @@ def test_linear_combination_refuses_unequal_lengths(weights, polys):
         lambda: Polynomial((0.1,)),
         lambda: (X + 1).shift(0.1),
         lambda: (X + 1)(0.1),
+        lambda: X / 0.1,
+        lambda: 0.1 / Polynomial((2,)),
         lambda: linear_combination([0.5], [X]),
+        lambda: falling_factorial_value(0.1, 2),
+        lambda: addition_rhs(2, 1, 0.1),
     ],
-    ids=["init", "shift", "call", "linear_combination"],
+    ids=[
+        "init",
+        "shift",
+        "call",
+        "truediv",
+        "rtruediv",
+        "linear_combination",
+        "falling_factorial_value",
+        "addition_rhs",
+    ],
 )
 def test_floats_are_refused(use):
     with pytest.raises(TypeError, match="float"):
