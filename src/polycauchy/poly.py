@@ -7,7 +7,8 @@ The zero polynomial is the empty coefficient tuple.  Scalars (``int`` or
 polynomials, which lets polynomial-valued and rational-valued code share the
 same formulas.  A float is inexact and is refused with ``TypeError``, as a
 coefficient, a shift offset, an evaluation point, a divisor or dividend, a
-``linear_combination`` weight or a ``falling_factorial_value`` point.
+``linear_combination`` weight, a ``falling_factorial_value`` point or a
+Frobenius-Euler basis parameter.
 
 ``shift`` and ``linear_combination`` work in FLINT's ``fmpq_poly`` layout:
 the coefficients are brought to integer numerators over one common
@@ -330,7 +331,7 @@ class Basis:
         if self.kind is BasisKind.FROBENIUS_EULER:
             if self.param is None:
                 raise ValueError("frobenius-euler basis needs a parameter")
-            object.__setattr__(self, "param", Fraction(self.param))
+            object.__setattr__(self, "param", _exact(self.param))
             if self.param == 1:
                 raise ValueError("Frobenius-Euler parameter must differ from 1")
         elif self.param is not None:
@@ -346,7 +347,7 @@ class Basis:
 
     @classmethod
     def frobenius_euler(cls, order: int, param: Fraction | int) -> Basis:
-        return cls(BasisKind.FROBENIUS_EULER, order=order, param=Fraction(param))
+        return cls(BasisKind.FROBENIUS_EULER, order=order, param=param)
 
 
 def expand_in_monic_basis(p: Polynomial, members: Sequence[Polynomial]) -> tuple[Fraction, ...]:

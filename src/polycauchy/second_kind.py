@@ -14,11 +14,12 @@ the recurrences, the addition/difference/derivative identities, and the three
 connection-coefficient expansions.
 
 Closed-route values are memoized per (n, k).  The oracle keeps grown rows
-per k (``memo.grown_value``): C_0^(k)(x), ..., C_N^(k)(x) are all read off
-one generating-function series of order N, which is rebuilt at order
-max(n, 2N) only when a degree n > N is asked for.  Truncation modulo
-t^(N+1) is a ring homomorphism, so every value equals the one read off a
-fresh series of order n+1.  The caches are invisible to results.
+per k (see ``memo``): C_0^(k)(x), ..., C_N^(k)(x) are all read off one
+generating-function series of order N, and degree n is read from the row of
+order ``grown_order(n)``, the least power of two at or above n.  Truncation
+modulo t^(N+1) is a ring homomorphism, so every value equals the one read
+off a fresh series of order n+1.  The oracle numbers are the oracle
+polynomials at x = 0.  The caches are invisible to results.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 
-from .memo import grown_value
+from .memo import grown_order, row_of
 from .poly import (
     Basis,
     BasisKind,
@@ -87,28 +88,24 @@ def _sign(e: int) -> int:
 # ---------------------------------------------------------------------------
 # Generating-function route
 
-@lru_cache(maxsize=None)
 def gf_number_series(k: int, order: int) -> TruncatedSeries:
     """Lif_k(-log(1+t)): the number-level generating function, truncated."""
     return lif_series(k, order).compose(-log1p_series(order))
 
 
-def _gf_polynomial_series(k: int, order: int) -> TruncatedSeries:
-    return gf_number_series(k, order) * binomial_series(order)
-
-
-_ORACLE_POLYS: dict[tuple, tuple] = {}
-_ORACLE_NUMBERS: dict[tuple, tuple] = {}
+@lru_cache(maxsize=None)
+def _oracle_rows(k: int, order: int) -> tuple[Polynomial, ...]:
+    return row_of(gf_number_series(k, order) * binomial_series(order))
 
 
 def poly_oracle(n: int, k: int) -> Polynomial:
     """C_n^(k)(x) read off the generating function."""
-    return grown_value(_ORACLE_POLYS, (k,), n, _gf_polynomial_series)
+    return _oracle_rows(k, grown_order(n))[n]
 
 
 def number_oracle(n: int, k: int) -> Fraction:
-    """C_n^(k) read off the number-level generating function."""
-    return grown_value(_ORACLE_NUMBERS, (k,), n, gf_number_series)
+    """C_n^(k) = C_n^(k)(0) read off the generating function."""
+    return poly_oracle(n, k).coefficient(0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +127,6 @@ def number_closed(n: int, k: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
 def number_bernoulli_form(n: int, k: int) -> Fraction:
     """C_n^(k) = sum_{l=0}^{n-1} (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)} / (l+2)^k,
     stated for n >= 1."""
@@ -390,7 +386,9 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
 
 def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
     """Expansion in the falling-factorial basis: C_{n,m} = C(n,m) C_{n-m}^(k)."""
-    entries = tuple(binom(n, m) * number_closed(n - m, k) for m in range(n + 1))
+    # A list, not a generator: tuple(generator) leaves one tuple per call on
+    # CPython's tuple free list, and this row is on the warm query path.
+    entries = tuple([binom(n, m) * number_closed(n - m, k) for m in range(n + 1)])
     return ConnectionMatrix(n, k, Basis.falling_factorial(), entries)
 
 

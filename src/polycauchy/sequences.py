@@ -16,11 +16,13 @@ coefficient:
     frobenius_euler_poly      ((1-lambda)/(e^t - lambda))^r * e^(xt),  lambda != 1
     narumi_poly               (t/log(1+t))^(-a) * (1+t)^x,  a in Z
 
-Each family is memoized in grown rows (``memo.grown_value``): for each
-parameter (none, alpha, (r, lambda) or a) the values of degree 0..N are read
-off one series of order N, which is rebuilt at order max(n, 2N) only when a
-degree n > N is asked for.  An ascending table 0..n thus costs about one
-series of order at most 2n, not one series per degree.
+Each family is memoized in grown rows (see ``memo``): one cached row builder
+per family, keyed by its parameters (none, alpha, (r, lambda) or a) and an
+order N, reads the values of degree 0..N off one series of order N.  A degree
+n is read from the row of order ``grown_order(n)``, the least power of two at
+or above n, so an ascending table 0..n costs about one series of order at
+most 2n, not one series per degree.  The Bernoulli numbers of the second kind
+are the polynomials at x = 0.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .memo import grown_value
-from .poly import Polynomial
+from .memo import grown_order, row_of
+from .poly import Polynomial, _exact
 from .series import (
     TruncatedSeries,
     binomial_series,
@@ -141,77 +143,68 @@ def lif_series(k: int, order: int) -> TruncatedSeries:
     )
 
 
-@lru_cache(maxsize=None)
 def _log1p_over_t(order: int) -> TruncatedSeries:
     # log(1+t)/t: the unit-constant cofactor of the removable singularity.
     return log1p_series(order + 1).divided_by_t()
 
 
-@lru_cache(maxsize=None)
 def t_over_log1p_series(order: int) -> TruncatedSeries:
     """t/log(1+t) as a unit-constant series."""
     return _log1p_over_t(order).invert()
 
 
 @lru_cache(maxsize=None)
-def _expm1_over_t(order: int) -> TruncatedSeries:
-    # (e^t - 1)/t, again unit-constant.
-    return (exp_series(order + 1) - 1).divided_by_t()
+def _bernoulli_2nd_rows(order: int) -> tuple[Polynomial, ...]:
+    return row_of(t_over_log1p_series(order) * binomial_series(order))
 
 
-_BERNOULLI_2ND_POLYS: dict[tuple, tuple] = {}
-_BERNOULLI_2ND_NUMBERS: dict[tuple, tuple] = {}
-_HIGH_ORDER_POLYS: dict[tuple, tuple] = {}
-_FROBENIUS_EULER_POLYS: dict[tuple, tuple] = {}
-_NARUMI_POLYS: dict[tuple, tuple] = {}
+@lru_cache(maxsize=None)
+def _high_order_rows(alpha: int, order: int) -> tuple[Polynomial, ...]:
+    # (e^t - 1)/t is unit-constant, so any integer power of it exists.
+    expm1_over_t = (exp_series(order + 1) - 1).divided_by_t()
+    return row_of(expm1_over_t ** (-alpha) * exp_xt_series(order))
 
 
-def _bernoulli_2nd_gf(order: int) -> TruncatedSeries:
-    return t_over_log1p_series(order) * binomial_series(order)
-
-
-def _high_order_gf(alpha: int, order: int) -> TruncatedSeries:
-    return _expm1_over_t(order) ** (-alpha) * exp_xt_series(order)
-
-
-def _frobenius_euler_gf(r: int, lam: Fraction, order: int) -> TruncatedSeries:
+@lru_cache(maxsize=None)
+def _frobenius_euler_rows(r: int, lam: Fraction, order: int) -> tuple[Polynomial, ...]:
     core = ((exp_series(order) - lam).invert() * (1 - lam)) ** r
-    return core * exp_xt_series(order)
+    return row_of(core * exp_xt_series(order))
 
 
-def _narumi_gf(a: int, order: int) -> TruncatedSeries:
-    return _log1p_over_t(order) ** a * binomial_series(order)
+@lru_cache(maxsize=None)
+def _narumi_rows(a: int, order: int) -> tuple[Polynomial, ...]:
+    return row_of(_log1p_over_t(order) ** a * binomial_series(order))
 
 
 def bernoulli_2nd_poly(n: int) -> Polynomial:
     """Bernoulli polynomial of the second kind, degree n."""
-    return grown_value(_BERNOULLI_2ND_POLYS, (), n, _bernoulli_2nd_gf)
+    return _bernoulli_2nd_rows(grown_order(n))[n]
 
 
 def bernoulli_2nd_number(n: int) -> Fraction:
     """Bernoulli number of the second kind: n! [t^n] t/log(1+t)."""
-    return grown_value(_BERNOULLI_2ND_NUMBERS, (), n, t_over_log1p_series)
+    return bernoulli_2nd_poly(n).coefficient(0)
 
 
 def bernoulli_high_order_poly(n: int, alpha: int) -> Polynomial:
     """Higher-order Bernoulli polynomial of degree n and integer order alpha."""
-    return grown_value(_HIGH_ORDER_POLYS, (alpha,), n, _high_order_gf)
+    return _high_order_rows(alpha, grown_order(n))[n]
 
 
 def frobenius_euler_poly(n: int, r: int, lam: Fraction | int) -> Polynomial:
     """Frobenius-Euler polynomial of degree n, order r >= 0 and parameter
     lambda != 1; lambda = -1 gives the Euler polynomials."""
-    lam = Fraction(lam)
+    lam = _exact(lam)
     if lam == 1:
         raise ValueError("Frobenius-Euler parameter must differ from 1")
     if r < 0:
         raise ValueError("Frobenius-Euler order must be non-negative")
-    return grown_value(_FROBENIUS_EULER_POLYS, (r, lam), n, _frobenius_euler_gf)
+    return _frobenius_euler_rows(r, lam, grown_order(n))[n]
 
 
 def narumi_poly(n: int, a: int) -> Polynomial:
     """Narumi polynomial of degree n and integer order a (either sign)."""
-    return grown_value(_NARUMI_POLYS, (a,), n, _narumi_gf)
+    return _narumi_rows(a, grown_order(n))[n]
 
 
 def bernoulli2nd_convolution(r: int, a: int) -> Fraction:

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import format_rational
-from .poly import Polynomial, falling_factorial_poly
+from .poly import Polynomial, _exact, falling_factorial_poly
 from .series import InsufficientOrderError, TruncatedSeries, log1p_series
 
 __all__ = [
@@ -93,8 +93,8 @@ class GridConfig:
             raise GridConfigError("k range is empty")
         if self.r_range[0] > self.r_range[1] or self.r_range[0] < 0:
             raise GridConfigError("r range must be a non-empty range of non-negative integers")
-        object.__setattr__(self, "lambdas", tuple(Fraction(v) for v in self.lambdas))
-        object.__setattr__(self, "y_values", tuple(Fraction(v) for v in self.y_values))
+        object.__setattr__(self, "lambdas", tuple(map(_exact, self.lambdas)))
+        object.__setattr__(self, "y_values", tuple(map(_exact, self.y_values)))
         if any(v == 1 for v in self.lambdas):
             raise GridConfigError("Frobenius-Euler parameter must differ from 1")
         if self.identities is not None:

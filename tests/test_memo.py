@@ -1,12 +1,12 @@
 """Grown-row memos: every value equals a fresh build at order n+1, in any
-access order and under concurrent misses."""
+access order and under concurrent misses; rows are keyed by power-of-two
+order."""
 
 import json
 import sys
 import threading
 from fractions import Fraction as F
 from functools import cache
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +16,9 @@ from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
 from polycauchy.cli import main
 from polycauchy.exact import parse_rational
-from polycauchy.memo import grown_value
+from polycauchy.memo import grown_order
 from polycauchy.poly import Polynomial
 from polycauchy.series import (
-    TruncatedSeries,
     binomial_series,
     exp_series,
     exp_xt_series,
@@ -58,28 +57,29 @@ def fresh(family, param, n):
     return _fresh_gf(family, param, n + 1).sequence_value(n)
 
 
-# family -> (grown-row table, lookup, parameters to try)
+# family -> (lookup, row memo it reads, parameters to try).  The number
+# lookups read the polynomial rows at x = 0; ``_fresh_gf`` builds them from the
+# number-level series, so the match checks that derivation.
 FAMILIES = {
-    "poly_oracle": (sk._ORACLE_POLYS, lambda n, k: sk.poly_oracle(n, k), (-2, 0, 1, 3)),
-    "number_oracle": (sk._ORACLE_NUMBERS, lambda n, k: sk.number_oracle(n, k), (-1, 2)),
-    "bernoulli_2nd_poly": (seq._BERNOULLI_2ND_POLYS, lambda n, _: seq.bernoulli_2nd_poly(n),
+    "poly_oracle": (sk.poly_oracle, sk._oracle_rows, (-2, 0, 1, 3)),
+    "number_oracle": (sk.number_oracle, sk._oracle_rows, (-1, 2)),
+    "bernoulli_2nd_poly": (lambda n, _: seq.bernoulli_2nd_poly(n), seq._bernoulli_2nd_rows,
                            (None,)),
-    "bernoulli_2nd_number": (seq._BERNOULLI_2ND_NUMBERS,
-                             lambda n, _: seq.bernoulli_2nd_number(n), (None,)),
-    "bernoulli_high_order_poly": (seq._HIGH_ORDER_POLYS, seq.bernoulli_high_order_poly,
+    "bernoulli_2nd_number": (lambda n, _: seq.bernoulli_2nd_number(n),
+                             seq._bernoulli_2nd_rows, (None,)),
+    "bernoulli_high_order_poly": (seq.bernoulli_high_order_poly, seq._high_order_rows,
                                   (-2, 0, 3)),
-    "frobenius_euler_poly": (seq._FROBENIUS_EULER_POLYS,
-                             lambda n, p: seq.frobenius_euler_poly(n, *p),
-                             ((1, F(-1)), (2, F(1, 2)))),
-    "narumi_poly": (seq._NARUMI_POLYS, seq.narumi_poly, (-2, 1)),
+    "frobenius_euler_poly": (lambda n, p: seq.frobenius_euler_poly(n, *p),
+                             seq._frobenius_euler_rows, ((1, F(-1)), (2, F(1, 2)))),
+    "narumi_poly": (seq.narumi_poly, seq._narumi_rows, (-2, 1)),
 }
 N_MAX = 9
 
 
 def _scan(family, requests):
-    """Query (param, n) pairs in the given order, starting from an empty table."""
-    table, lookup, _ = FAMILIES[family]
-    table.clear()
+    """Query (param, n) pairs in the given order, starting from an empty memo."""
+    lookup, rows, _ = FAMILIES[family]
+    rows.cache_clear()
     for param, n in requests:
         assert lookup(n, param) == fresh(family, param, n), (family, param, n)
 
@@ -99,20 +99,23 @@ def test_any_access_order_matches_fresh_builds(data):
     _scan(family, data.draw(st.lists(request, min_size=1, max_size=16)))
 
 
-def test_rows_grow_by_doubling():
-    built = []
+@pytest.mark.parametrize(
+    "n, order", [(0, 0), (1, 1), (2, 2), (3, 4), (16, 16), (17, 32), (64, 64)]
+)
+def test_grown_order_is_the_next_power_of_two(n, order):
+    assert grown_order(n) == order
 
-    def build(order):
-        built.append(order)
-        return TruncatedSeries(F(i) for i in range(order + 1))
 
-    table = {}
-    values = [grown_value(table, (), n, build) for n in range(31)]
-    assert values == [factorial(i) * i for i in range(31)]
-    assert built == [0, 1, 2, 4, 8, 16, 32]
-    assert len(table[()]) == 33
-    assert grown_value(table, (), 40, build) == factorial(40) * 40
-    assert built[-1] == 64
+def test_ascending_scan_builds_one_row_per_power_of_two():
+    seq._narumi_rows.cache_clear()
+    values = [seq.narumi_poly(n, 2) for n in range(31)]
+    assert values == [fresh("narumi_poly", 2, n) for n in range(31)]
+    info = seq._narumi_rows.cache_info()
+    # orders 0, 1, 2, 4, 8, 16, 32
+    assert (info.misses, info.hits, info.currsize) == (7, 24, 7)
+    assert seq.narumi_poly(40, 2) == fresh("narumi_poly", 2, 40)
+    assert seq._narumi_rows.cache_info().misses == 8
+    assert len(seq._narumi_rows(2, 64)) == 65
 
 
 def test_negative_index_rejected():
@@ -120,19 +123,20 @@ def test_negative_index_rejected():
         seq.narumi_poly(-1, 2)
     with pytest.raises(ValueError):
         sk.poly_oracle(-1, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        grown_order(-1)
 
 
 def test_concurrent_misses_publish_equal_rows():
-    table, lookup, _ = FAMILIES["narumi_poly"]
+    lookup, rows, _ = FAMILIES["narumi_poly"]
     a = 3
-    table.clear()
+    rows.cache_clear()
     barrier = threading.Barrier(8)
-    results, published = {}, {}
+    results = {}
 
     def worker(index):
         barrier.wait(timeout=30)
         results[index] = lookup(6 + index, a)
-        published[index] = table[(a,)]
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -146,9 +150,12 @@ def test_concurrent_misses_publish_equal_rows():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {i: fresh("narumi_poly", a, 6 + i) for i in range(8)}
-    assert len(published) == 8
-    for row in published.values():
-        assert list(row) == [fresh("narumi_poly", a, n) for n in range(len(row))]
+    # Degrees 6..13 read the rows of orders 8 and 16, and the memo holds those.
+    held = rows.cache_info()
+    assert held.currsize == 2
+    for order in (8, 16):
+        assert list(rows(a, order)) == [fresh("narumi_poly", a, n) for n in range(order + 1)]
+    assert rows.cache_info().misses == held.misses
 
 
 # Degrees at, just below and just past each rebuild of an ascending scan
@@ -167,8 +174,8 @@ GEN_CASES = [
 def test_gen_rows_match_fresh_builds_to_n30(args, family, param, capsys):
     # polycauchy2-poly rows come from the closed route; its grown rows are
     # the oracle's, read here after the table is written.
-    table, lookup, _ = FAMILIES[family]
-    table.clear()
+    lookup, rows, _ = FAMILIES[family]
+    rows.cache_clear()
     assert main(["gen", *args, "--n-max", "30", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["n"] for row in rows] == list(range(31))

@@ -15,8 +15,9 @@ from polycauchy.poly import (
     falling_factorial_value,
     linear_combination,
 )
-from polycauchy.second_kind import addition_rhs
-from polycauchy.sequences import stirling1
+from polycauchy.second_kind import addition_rhs, connection_to_frobenius
+from polycauchy.sequences import frobenius_euler_poly, stirling1
+from polycauchy.verify import GridConfig
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polynomials = st.lists(small_rationals, max_size=9).map(Polynomial)
@@ -173,6 +174,12 @@ def test_linear_combination_refuses_unequal_lengths(weights, polys):
         lambda: linear_combination([0.5], [X]),
         lambda: falling_factorial_value(0.1, 2),
         lambda: addition_rhs(2, 1, 0.1),
+        lambda: frobenius_euler_poly(1, 1, 0.1),
+        lambda: Basis.frobenius_euler(1, 0.1),
+        lambda: Basis(BasisKind.FROBENIUS_EULER, order=1, param=0.1),
+        lambda: connection_to_frobenius(1, 1, 1, 0.1),
+        lambda: GridConfig(lambdas=(0.1,)),
+        lambda: GridConfig(y_values=(0.1,)),
     ],
     ids=[
         "init",
@@ -183,6 +190,12 @@ def test_linear_combination_refuses_unequal_lengths(weights, polys):
         "linear_combination",
         "falling_factorial_value",
         "addition_rhs",
+        "frobenius_euler_poly",
+        "basis_classmethod",
+        "basis_init",
+        "connection_to_frobenius",
+        "grid_lambdas",
+        "grid_y_values",
     ],
 )
 def test_floats_are_refused(use):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -348,6 +349,18 @@ def test_connection_to_falling_worked_example():
     cm = sk.connection_to_falling(2, 1)
     assert cm.entries == (F(5, 6), F(-1), F(1))
     assert cm.reconstruct() == X**2 - 2 * X + F(5, 6)
+
+
+def test_connection_to_falling_holds_no_blocks_between_calls():
+    # Building the entries with tuple(generator) left one tuple per call on
+    # CPython's tuple free list, so warm query passes kept growing RSS.
+    for n in range(21):
+        sk.connection_to_falling(n, 1)
+    before = sys.getallocatedblocks()
+    for _ in range(200):
+        for n in range(21):
+            sk.connection_to_falling(n, 1)
+    assert sys.getallocatedblocks() - before < 1000
 
 
 def _frobenius_row_by_double_sum(n, k, r, lam):
