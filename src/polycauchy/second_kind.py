@@ -13,6 +13,13 @@ and coefficient extraction from the generating function (``poly_oracle``,
 the recurrences, the addition/difference/derivative identities, and the three
 connection-coefficient expansions.
 
+The closed route runs through one kernel, ``_stirling_sums``, which computes
+sum_{m>=j} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k for every j at once in
+integer numerators over one common denominator (FLINT's ``fmpq_poly``
+layout): lcm(c..n+c)^k for k >= 0 and 1 for k < 0.  ``poly_closed`` and
+``number_closed`` read it at c = 1, ``closed_coefficient`` is a coefficient
+of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.
+
 Closed-route values are memoized per (n, k).  The oracle keeps grown rows
 per k (see ``memo``): C_0^(k)(x), ..., C_N^(k)(x) are all read off one
 generating-function series of order N, and degree n is read from the row of
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from math import comb, factorial, lcm, perm
 
 from .memo import grown_order, row_of
 from .poly import (
@@ -111,20 +118,36 @@ def number_oracle(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Closed-form route
 
-def _check_index(n: int) -> None:
-    """Refuse a negative degree, as the generating-function route does."""
+def _stirling_sums(n: int, k: int, c: int, width: int) -> list[Fraction]:
+    """[ sum_{m=j}^{n} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k  for j < width ].
+
+    The sums run in integer numerators over one common denominator: for
+    k >= 0 each 1/d^k is (L/d)^k / L^k with L = lcm(c..n+c), and for k < 0
+    it is the integer d^|k|.  Each power is computed once, for the offset
+    d - c = m - j it serves, every product is an int, and each sum becomes
+    one Fraction.  A negative degree is refused, as the generating-function
+    route refuses it."""
     if n < 0:
         raise ValueError("sequence index must be non-negative")
+    row = [stirling1(n, m) for m in range(n + 1)]
+    base = lcm(*range(c, n + c + 1))
+    den = base**k if k >= 0 else 1
+    totals = [0] * width
+    for e in range(n + 1):
+        power = (base // (e + c)) ** k if k >= 0 else (e + c) ** -k
+        if e % 2:
+            power = -power
+        for j in range(min(width, n + 1 - e)):
+            s = row[j + e]
+            if s:
+                totals[j] += s * comb(j + e, j) * power
+    return [Fraction(total, den) for total in totals]
 
 
 @lru_cache(maxsize=None)
 def number_closed(n: int, k: int) -> Fraction:
     """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k."""
-    _check_index(n)
-    total = Fraction(0)
-    for m in range(n + 1):
-        total += stirling1(n, m) * _sign(m) * Fraction(m + 1) ** (-k)
-    return total
+    return _stirling_sums(n, k, 1, 1)[0]
 
 
 def number_bernoulli_form(n: int, k: int) -> Fraction:
@@ -134,7 +157,7 @@ def number_bernoulli_form(n: int, k: int) -> Fraction:
         raise ValueError("the higher-order-Bernoulli form is defined for n >= 1")
     total = Fraction(0)
     for l in range(n):
-        weight = bernoulli_high_order_poly(n - 1 - l, n)(0)
+        weight = bernoulli_high_order_poly(n - 1 - l, n).coefficient(0)
         total += _sign(l + 1) * binom(n - 1, l) * weight * Fraction(l + 2) ** (-k)
     return total
 
@@ -142,11 +165,7 @@ def number_bernoulli_form(n: int, k: int) -> Fraction:
 def closed_coefficient(n: int, j: int, k: int) -> Fraction:
     """x^j coefficient of C_n^(k)(x):
     sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m) / (m-j+1)^k."""
-    _check_index(n)
-    total = Fraction(0)
-    for m in range(j, n + 1):
-        total += _sign(m - j) * binom(m, j) * stirling1(n, m) * Fraction(m - j + 1) ** (-k)
-    return total
+    return poly_closed(n, k).coefficient(j)
 
 
 def theorem1_rhs_coefficient(n: int, j: int, k: int) -> Fraction:
@@ -157,7 +176,7 @@ def theorem1_rhs_coefficient(n: int, j: int, k: int) -> Fraction:
         raise ValueError("coefficient identity needs 1 <= j <= n")
     total = Fraction(0)
     for l in range(j - 1, n):
-        weight = bernoulli_high_order_poly(n - 1 - l, n)(0)
+        weight = bernoulli_high_order_poly(n - 1 - l, n).coefficient(0)
         total += (
             _sign(l + 1 - j)
             * binom(n - 1, l)
@@ -170,9 +189,9 @@ def theorem1_rhs_coefficient(n: int, j: int, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def poly_closed(n: int, k: int) -> Polynomial:
-    """C_n^(k)(x), monic of degree n, assembled from ``closed_coefficient``."""
-    _check_index(n)
-    return Polynomial(closed_coefficient(n, j, k) for j in range(n + 1))
+    """C_n^(k)(x), monic of degree n: its x^j coefficient is
+    sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m) / (m-j+1)^k."""
+    return Polynomial(_stirling_sums(n, k, 1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +219,7 @@ def recurrence_theorem2_rhs(n: int, k: int) -> Polynomial:
 
     The sum is the polynomial with the braced weights as coefficients,
     shifted by -1."""
-    weights = []
-    for j in range(n + 1):
-        weight = Fraction(0)
-        for l in range(j, n + 1):
-            weight += stirling1(n, l) * _sign(l - j) * binom(l, j) * Fraction(l - j + 2) ** (-k)
-        weights.append(weight)
+    weights = _stirling_sums(n, k, 2, n + 1)
     return X * poly_closed(n, k).shift(-1) - Polynomial(weights).shift(-1)
 
 

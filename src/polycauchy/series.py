@@ -13,6 +13,9 @@ operand to integer numerators over one common denominator (FLINT's
 its coefficient row), multiplies in ints and builds one Fraction per result
 entry.  The product holds Polynomials if either operand held any, and
 Fractions otherwise; a float coefficient is refused with ``TypeError``.
+``compose`` runs Horner's scheme on the same integer rows through the
+kernel's integer core, reduces the common denominator once per step and
+builds Fractions only at the end, by the same rule.
 
 Series with a removable singularity at t = 0, such as t/log(1+t), are not
 stored as such: build the unit-constant cofactor (here log(1+t)/t, via
@@ -23,7 +26,7 @@ of R[[t]] mod t^(N+1).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from .poly import Polynomial, _integer_rows, falling_factorial_poly
@@ -159,14 +162,41 @@ class TruncatedSeries:
         return TruncatedSeries(inv)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """f(g(t)) by Horner's scheme; ``inner`` must be a delta series."""
+        """f(g(t)) by Horner's scheme; ``inner`` must be a delta series.
+
+        Horner runs on integer rows over one common denominator.  Each step
+        multiplies the accumulator by g through the product kernel's integer
+        core, adds the next coefficient of f over the lcm of the two
+        denominators, and divides the denominator and every numerator by
+        their gcd.  As g = O(t), the accumulator that g^i still multiplies
+        is needed only modulo t^(N+1-i), so it grows by one coefficient per
+        step.  Fractions are built once, at the end, by the product kernel's
+        rule: Polynomials if f or g held any, Fractions otherwise.  At order
+        0 Horner takes no step and f is returned as it is."""
         self._check_order(inner)
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires a delta series (zero constant term)")
-        acc = constant_series(self.coeffs[-1], self.order)
-        for i in range(len(self.coeffs) - 2, -1, -1):
-            acc = acc * inner + self.coeffs[i]
-        return acc
+        if not self.order:
+            return self
+        rows_f, den_f, poly_f = _numerator_rows(self.coeffs)
+        rows_g, den_g, poly_g = _numerator_rows(inner.coeffs)
+        acc, den = [rows_f[-1]], den_f
+        for row in reversed(rows_f[:-1]):
+            acc.append([0])
+            den *= den_g
+            common = lcm(den, den_f)
+            scale, scale_f = common // den, common // den_f
+            acc = [[v * scale for v in sums] for sums in _convolve_rows(acc, rows_g)]
+            head = acc[0]
+            head.extend([0] * (len(row) - len(head)))
+            for p, v in enumerate(row):
+                head[p] += v * scale_f
+            # A list, not a generator: star-unpacking a generator leaves one
+            # tuple per call on CPython's tuple free list.
+            divisor = gcd(common, *[v for sums in acc for v in sums])
+            acc = [[v // divisor for v in sums] for sums in acc]
+            den = common // divisor
+        return TruncatedSeries(_from_rows(acc, den, poly_f or poly_g))
 
     def derivative(self) -> TruncatedSeries:
         """Termwise d/dt; the truncation order drops by one."""
@@ -214,26 +244,38 @@ def _numerator_rows(coeffs) -> tuple[list[list[int]], int, bool]:
     return rows, den, has_poly
 
 
+def _convolve_rows(rows_a, rows_b) -> list[list[int]]:
+    """The integer core of every series product: the first len(rows_a)
+    coefficients of the product of two series given as rows of integer
+    numerators, each result a row of ints of at least one entry.  Each
+    nonzero numerator of ``rows_a`` is spread over ``rows_b`` once, so zero
+    coefficients cost nothing."""
+    sums = [[0] for _ in rows_a]
+    for i, x in enumerate(rows_a):
+        for p, xp in enumerate(x):
+            if xp:
+                for acc, y in zip(sums[i:], rows_b):
+                    if len(acc) < p + len(y):
+                        acc.extend([0] * (p + len(y) - len(acc)))
+                    for q, yq in enumerate(y, p):
+                        acc[q] += xp * yq
+    return sums
+
+
+def _from_rows(sums, den: int, has_poly: bool) -> list:
+    """Integer rows over ``den`` as coefficients: Polynomials if
+    ``has_poly``, else one Fraction per row."""
+    if has_poly:
+        return [Polynomial(Fraction(v, den) for v in acc) for acc in sums]
+    return [Fraction(acc[0], den) for acc in sums]
+
+
 def _convolve(a, b) -> list:
     """Coefficients of the product of two truncated series of equal order:
     products accumulate as ints, and each result entry is reduced once."""
     rows_a, den_a, poly_a = _numerator_rows(a)
     rows_b, den_b, poly_b = _numerator_rows(b)
-    sums = []
-    for n in range(len(rows_a)):
-        acc = [0]
-        for x, y in zip(rows_a, rows_b[n::-1]):
-            if len(acc) < len(x) + len(y) - 1:
-                acc.extend([0] * (len(x) + len(y) - 1 - len(acc)))
-            for p, xp in enumerate(x):
-                if xp:
-                    for q, yq in enumerate(y, p):
-                        acc[q] += xp * yq
-        sums.append(acc)
-    den = den_a * den_b
-    if poly_a or poly_b:
-        return [Polynomial(Fraction(v, den) for v in acc) for acc in sums]
-    return [Fraction(acc[0], den) for acc in sums]
+    return _from_rows(_convolve_rows(rows_a, rows_b), den_a * den_b, poly_a or poly_b)
 
 
 def constant_series(value, order: int) -> TruncatedSeries:

@@ -12,7 +12,14 @@ from polycauchy.poly import (
     falling_factorial_poly,
     falling_factorial_value,
 )
-from polycauchy.sequences import bernoulli_2nd_poly, bernoulli_high_order_poly, binom, stirling1
+from polycauchy.sequences import (
+    DEFAULT_STIRLING_LIMIT,
+    TableLimitError,
+    bernoulli_2nd_poly,
+    bernoulli_high_order_poly,
+    binom,
+    stirling1,
+)
 from polycauchy.verify import DEFAULT_Y_VALUES
 
 KS = range(-3, 4)
@@ -99,6 +106,62 @@ def test_poly_is_monic_of_exact_degree(n, k):
     p = sk.poly_closed(n, k)
     assert p.degree == n
     assert p.leading_coefficient == 1
+
+
+# ---------------------------------------------------------------------------
+# The closed Stirling sums against their Fraction loop, and both routes at
+# the Stirling cap
+
+CAP = DEFAULT_STIRLING_LIMIT
+# Every degree is checked at j = 0, and whole rows at the small degrees and
+# at the cap: the Fraction loop over every j of every n would take about six
+# times as long as this sample.
+FULL_ROWS = (*range(13), CAP - 1, CAP)
+
+
+def _stirling_sums_loop(n, k, c, width):
+    """Reference: one Fraction term per (j, m) of
+    sum_{m=j}^{n} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k, for j < width."""
+    sums = []
+    for j in range(width):
+        total = F(0)
+        for m in range(j, n + 1):
+            total += _sign(m - j) * binom(m, j) * stirling1(n, m) * F(m - j + c) ** (-k)
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("k", [*range(-8, 9), 40, -40])
+def test_closed_kernel_equals_fraction_loop(k):
+    for c in (1, 2):
+        for n in range(CAP + 1):
+            width = n + 1 if n in FULL_ROWS else 1
+            expected = _stirling_sums_loop(n, k, c, width)
+            assert sk._stirling_sums(n, k, c, width) == expected, (n, c)
+            if c == 1:
+                assert sk.number_closed(n, k) == expected[0], n
+                if width > 1:
+                    assert sk.poly_closed(n, k) == Polynomial(expected), n
+
+
+@pytest.mark.parametrize("k", KS)
+def test_number_routes_agree_at_the_stirling_cap(k):
+    gf = sk.gf_number_series(k, CAP)
+    for n in range(CAP + 1):
+        assert sk.number_closed(n, k) == gf.sequence_value(n), n
+
+
+@pytest.mark.parametrize("k", [-3, 2])
+def test_polynomial_routes_agree_below_the_stirling_cap(k):
+    for n in range(CAP):
+        assert sk.poly_closed(n, k) == sk.poly_oracle(n, k), n
+
+
+def test_closed_route_refuses_degrees_past_the_cap():
+    with pytest.raises(TableLimitError):
+        sk.number_closed(CAP + 1, 1)
+    with pytest.raises(TableLimitError):
+        sk.poly_closed(CAP + 1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycauchy.poly import Polynomial, falling_factorial_poly
+from polycauchy.sequences import lif_series
 from polycauchy.series import (
     InsufficientOrderError,
     OrderMismatchError,
@@ -29,6 +30,15 @@ def schoolbook_product(a, b):
     """Reference: [t^n](a*b) = sum a_i * b_(n-i) in the coefficient ring."""
     a, b = a.coeffs, b.coeffs
     return TruncatedSeries(sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a)))
+
+
+def horner_compose(f, g):
+    """Reference: f(g) by Horner's scheme over the coefficient ring, each
+    product a ``schoolbook_product`` at full order."""
+    acc = constant_series(f.coeffs[-1], f.order)
+    for c in reversed(f.coeffs[:-1]):
+        acc = schoolbook_product(acc, g) + c
+    return acc
 
 
 def series_of(*coeffs):
@@ -142,6 +152,57 @@ def test_compose_lif0_reduction():
     order = 4
     composed = exp_series(order).compose(-log1p_series(order))
     assert composed == series_of(1, -1, 1, -1, 1)
+
+
+# The zero constant terms of a delta series in each coefficient ring.
+DELTA_HEADS = {
+    "scalar": st.sampled_from([0, F(0)]),
+    "polynomial": st.just(Polynomial()),
+    "mixed": st.sampled_from([0, F(0), Polynomial()]),
+}
+
+
+@pytest.mark.parametrize("outer", RINGS)
+@pytest.mark.parametrize("inner", RINGS)
+@settings(max_examples=30)
+@given(order=st.integers(0, 5), data=st.data())
+def test_compose_equals_horner_reference(outer, inner, order, data):
+    f = TruncatedSeries(data.draw(st.lists(RINGS[outer], min_size=order + 1, max_size=order + 1)))
+    g = TruncatedSeries(
+        [data.draw(DELTA_HEADS[inner])]
+        + data.draw(st.lists(RINGS[inner], min_size=order, max_size=order))
+    )
+    composed = f.compose(g)
+    assert composed == horner_compose(f, g)
+    if order == 0:
+        assert composed.coeffs == f.coeffs
+        assert [type(c) for c in composed.coeffs] == [type(c) for c in f.coeffs]
+    elif any(isinstance(c, Polynomial) for c in f.coeffs + g.coeffs):
+        assert all(isinstance(c, Polynomial) for c in composed.coeffs)
+    else:
+        assert all(type(c) is F for c in composed.coeffs)
+
+
+@pytest.mark.parametrize("k", [-3, 2])
+def test_compose_equals_horner_reference_at_oracle_order(k):
+    # The oracle's own composition, Lif_k(-log(1+t)), at the order that the
+    # grown rows use for n <= 32.
+    f, g = lif_series(k, 32), -log1p_series(32)
+    assert f.compose(g) == horner_compose(f, g)
+
+
+def test_compose_over_polynomials():
+    # (1+t)^x at t = e^s - 1 is e^(xs).
+    composed = binomial_series(12).compose(exp_series(12) - 1)
+    assert composed == exp_xt_series(12)
+    assert all(isinstance(c, Polynomial) for c in composed.coeffs)
+
+
+def test_compose_refuses_float_coefficients():
+    with pytest.raises(TypeError, match="int, Fraction or Polynomial"):
+        TruncatedSeries([1, 0.5]).compose(series_of(0, 1))
+    with pytest.raises(TypeError, match="int, Fraction or Polynomial"):
+        exp_series(1).compose(TruncatedSeries([0, 0.5]))
 
 
 def test_compose_requires_delta_series():
