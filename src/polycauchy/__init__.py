@@ -40,7 +40,7 @@ from .sequences import (
     narumi_poly,
     stirling1,
 )
-from .series import TruncatedSeries, binomial_series, exp_series, log1p_series
+from .series import TruncatedSeries, exp_series, log1p_series
 from .verify import GridConfig, VerificationReport, catalog, run_suite
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "TruncatedSeries",
     "log1p_series",
     "exp_series",
-    "binomial_series",
     "Stirling1Table",
     "stirling1",
     "lif_series",

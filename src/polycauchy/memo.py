@@ -1,15 +1,17 @@
-"""Memo policy, and grown rows for sequences read off a generating function.
+"""Memo policy, and grown rows of Sheffer sequences built from their numbers.
 
 Every memo in the package is an unbounded ``functools.lru_cache``, apart from
 the capped Stirling table (``sequences.Stirling1Table``).  A cache stores a
 finished value, so a reader never sees a partial row; concurrent misses on
 one key may build the value twice, which repeats work and changes nothing.
 
-A sequence P read off an exponential generating function is memoized in
-grown rows: one cached row builder per family, keyed by its parameters and
-an ``order``, returns ``row_of(gf)`` = (P_0, ..., P_order).  Truncation
-modulo t^(N+1) is a ring homomorphism, so a series built once at order N
-gives each of P_0, ..., P_N exactly as a fresh build at order n+1 gives P_n.
+Every polynomial family here is a Sheffer sequence, with exponential
+generating function A(t) (1+t)^x or A(t) e^(xt) for a scalar amplitude
+series A(t).  ``sheffer_rows`` builds P_0, ..., P_N from one amplitude series
+of order N by the Sheffer identity (S. Roman, *The Umbral Calculus*, ch. 2).
+One cached row builder per family, keyed by its parameters and an order,
+returns that row.  Truncation modulo t^(N+1) is a ring homomorphism, so a
+series of order N gives each P_n exactly as a fresh one of order n+1 does.
 A lookup of P_n reads the row of order ``grown_order(n)``, the least power
 of two at or above n: an ascending scan 0..n builds rows of orders
 0, 1, 2, 4, ..., which together cost about one build at the last order.
@@ -17,9 +19,12 @@ of two at or above n: an ascending scan 0..n builds rows of orders
 
 from __future__ import annotations
 
+from math import comb
+
+from .poly import Polynomial, falling_factorial_poly, linear_combination
 from .series import TruncatedSeries
 
-__all__ = ["grown_order", "row_of"]
+__all__ = ["grown_order", "sheffer_rows"]
 
 
 def grown_order(n: int) -> int:
@@ -30,6 +35,21 @@ def grown_order(n: int) -> int:
     return n if n < 2 else 1 << (n - 1).bit_length()
 
 
-def row_of(gf: TruncatedSeries) -> tuple:
-    """(P_0, ..., P_N) read off an exponential generating function of order N."""
-    return tuple(gf.sequence_value(i) for i in range(gf.order + 1))
+def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial, ...]:
+    """(P_0, ..., P_N) for the amplitude series A(t) of order N:
+    P_n(x) = sum_j C(n,j) a_(n-j) kappa_j(x), with a_m = m! [t^m] A(t).
+
+    For (1+t)^x (``falling``) kappa_j is (x)_j, from ``falling_factorial_poly``
+    in ascending j, and each row is one ``linear_combination``; for e^(xt)
+    kappa_j is x^j, and the weights are the row's coefficients."""
+    numbers = [amplitude.sequence_value(m) for m in range(amplitude.order + 1)]
+    kappa = []
+    rows = []
+    for n in range(len(numbers)):
+        weights = [comb(n, j) * numbers[n - j] for j in range(n + 1)]
+        if falling:
+            kappa.append(falling_factorial_poly(n))
+            rows.append(linear_combination(weights, kappa))
+        else:
+            rows.append(Polynomial(weights))
+    return tuple(rows)

@@ -283,12 +283,14 @@ X = Polynomial((0, 1))
 
 @lru_cache(maxsize=None)
 def falling_factorial_poly(m: int) -> Polynomial:
-    """The falling factorial x(x-1)...(x-m+1); the empty product is 1."""
+    """The falling factorial x(x-1)...(x-m+1); the empty product is 1.
+    A loop multiplies integer coefficients by (x - j), so no call recurses."""
     if m < 0:
         raise ValueError("falling factorial degree must be non-negative")
-    if m == 0:
-        return Polynomial((1,))
-    return falling_factorial_poly(m - 1) * Polynomial((-(m - 1), 1))
+    coeffs = [1]
+    for j in range(m):
+        coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return Polynomial(coeffs)
 
 
 def falling_factorial_value(point: Fraction | int, m: int) -> Fraction:

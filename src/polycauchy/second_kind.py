@@ -20,13 +20,16 @@ layout): lcm(c..n+c)^k for k >= 0 and 1 for k < 0.  ``poly_closed`` and
 ``number_closed`` read it at c = 1, ``closed_coefficient`` is a coefficient
 of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.
 
+The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
+polynomial by the Sheffer identity (Eq. (34) at x = 0, ``memo.sheffer_rows``),
+C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, with (x)_j from the product
+recurrence of ``falling_factorial_poly``, never from the Stirling table.
+
 Closed-route values are memoized per (n, k).  The oracle keeps grown rows
-per k (see ``memo``): C_0^(k)(x), ..., C_N^(k)(x) are all read off one
-generating-function series of order N, and degree n is read from the row of
-order ``grown_order(n)``, the least power of two at or above n.  Truncation
-modulo t^(N+1) is a ring homomorphism, so every value equals the one read
-off a fresh series of order n+1.  The oracle numbers are the oracle
-polynomials at x = 0.  The caches are invisible to results.
+per k (see ``memo``): degree n is read from the row of order
+``grown_order(n)``, built from one series of that order, and equals the
+value built from a fresh series of order n+1.  The oracle numbers are the
+oracle polynomials at x = 0.  The caches are invisible to results.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
 
-from .memo import grown_order, row_of
+from .memo import grown_order, sheffer_rows
 from .poly import (
     Basis,
     BasisKind,
@@ -57,7 +60,7 @@ from .sequences import (
     narumi_poly,
     stirling1,
 )
-from .series import TruncatedSeries, binomial_series, log1p_series
+from .series import TruncatedSeries, log1p_series
 
 __all__ = [
     "number_closed",
@@ -102,7 +105,7 @@ def gf_number_series(k: int, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _oracle_rows(k: int, order: int) -> tuple[Polynomial, ...]:
-    return row_of(gf_number_series(k, order) * binomial_series(order))
+    return sheffer_rows(gf_number_series(k, order), falling=True)
 
 
 def poly_oracle(n: int, k: int) -> Polynomial:

@@ -4,25 +4,30 @@ Bernoulli, Frobenius-Euler and Narumi polynomial families.
 
 Stirling numbers and polylog-factorial coefficients come from closed forms
 (the defining recurrence and the coefficient formula); every named polynomial
-family is extracted from its generating function through the truncated-series
-machinery.  The two computation routes stay independent so they can be held
-against each other by the verification suite.
+family is a Sheffer sequence built from the numbers of its generating
+function (see ``memo.sheffer_rows``).  The two computation routes stay
+independent so they can be held against each other by the verification
+suite.
 
 Generating functions, with the degree-n member equal to n! times the t^n
-coefficient:
+coefficient, as amplitude series times (1+t)^x or e^(xt):
 
-    bernoulli_2nd_poly        (t/log(1+t)) * (1+t)^x
+    narumi_poly               (t/log(1+t))^(-a) * (1+t)^x,  a in Z
+    bernoulli_2nd_poly        narumi_poly at a = -1: (t/log(1+t)) * (1+t)^x
     bernoulli_high_order_poly (t/(e^t - 1))^alpha * e^(xt),  alpha in Z
     frobenius_euler_poly      ((1-lambda)/(e^t - lambda))^r * e^(xt),  lambda != 1
-    narumi_poly               (t/log(1+t))^(-a) * (1+t)^x,  a in Z
+
+The numbers a_m are m! times the t^m coefficients of the amplitude series,
+and the degree-n member is sum_j C(n,j) a_(n-j) kappa_j(x), with kappa_j the
+falling factorial (x)_j for (1+t)^x and the power x^j for e^(xt).
 
 Each family is memoized in grown rows (see ``memo``): one cached row builder
-per family, keyed by its parameters (none, alpha, (r, lambda) or a) and an
-order N, reads the values of degree 0..N off one series of order N.  A degree
-n is read from the row of order ``grown_order(n)``, the least power of two at
-or above n, so an ascending table 0..n costs about one series of order at
-most 2n, not one series per degree.  The Bernoulli numbers of the second kind
-are the polynomials at x = 0.
+per family, keyed by its parameters (alpha, (r, lambda) or a) and an order N,
+builds the members of degree 0..N from one amplitude series of order N.  A
+degree n is read from the row of order ``grown_order(n)``, the least power of
+two at or above n, so an ascending table 0..n costs about one series of order
+at most 2n, not one series per degree.  The Bernoulli numbers of the second
+kind are the polynomials at x = 0.
 """
 
 from __future__ import annotations
@@ -33,15 +38,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from .memo import grown_order, row_of
+from .memo import grown_order, sheffer_rows
 from .poly import Polynomial, _exact
-from .series import (
-    TruncatedSeries,
-    binomial_series,
-    exp_series,
-    exp_xt_series,
-    log1p_series,
-)
+from .series import TruncatedSeries, exp_series, log1p_series
 
 __all__ = [
     "DEFAULT_STIRLING_LIMIT",
@@ -154,31 +153,26 @@ def t_over_log1p_series(order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_2nd_rows(order: int) -> tuple[Polynomial, ...]:
-    return row_of(t_over_log1p_series(order) * binomial_series(order))
-
-
-@lru_cache(maxsize=None)
 def _high_order_rows(alpha: int, order: int) -> tuple[Polynomial, ...]:
     # (e^t - 1)/t is unit-constant, so any integer power of it exists.
     expm1_over_t = (exp_series(order + 1) - 1).divided_by_t()
-    return row_of(expm1_over_t ** (-alpha) * exp_xt_series(order))
+    return sheffer_rows(expm1_over_t ** (-alpha), falling=False)
 
 
 @lru_cache(maxsize=None)
 def _frobenius_euler_rows(r: int, lam: Fraction, order: int) -> tuple[Polynomial, ...]:
-    core = ((exp_series(order) - lam).invert() * (1 - lam)) ** r
-    return row_of(core * exp_xt_series(order))
+    return sheffer_rows(((exp_series(order) - lam).invert() * (1 - lam)) ** r, falling=False)
 
 
 @lru_cache(maxsize=None)
 def _narumi_rows(a: int, order: int) -> tuple[Polynomial, ...]:
-    return row_of(_log1p_over_t(order) ** a * binomial_series(order))
+    return sheffer_rows(_log1p_over_t(order) ** a, falling=True)
 
 
 def bernoulli_2nd_poly(n: int) -> Polynomial:
-    """Bernoulli polynomial of the second kind, degree n."""
-    return _bernoulli_2nd_rows(grown_order(n))[n]
+    """Bernoulli polynomial of the second kind, degree n: the Narumi
+    polynomial of order -1."""
+    return narumi_poly(n, -1)
 
 
 def bernoulli_2nd_number(n: int) -> Fraction:

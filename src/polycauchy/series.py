@@ -1,26 +1,24 @@
-"""Truncated formal power series over an exact coefficient ring.
+"""Truncated formal power series over the rationals.
 
 A series stores the coefficients of t^0..t^N for a fixed truncation order N;
 arithmetic is exact through t^N and anything beyond is discarded, never
-approximated.  Coefficients are ints, Fractions or Polynomials; Polynomial
-coefficients are how a generating function carries the variable x:
-``binomial_series`` represents (1+t)^x, whose t^j coefficient is the
-polynomial (x)_j / j!.
+approximated.  Coefficients are ints or Fractions: a generating function
+that carries the variable x is never a series here, since every polynomial
+family is built from the numbers of its scalar amplitude series (see
+``memo.sheffer_rows``).
 
 Every series product goes through one kernel, ``_convolve``.  It brings each
 operand to integer numerators over one common denominator (FLINT's
-``fmpq_poly`` layout, with a scalar as a one-entry row and a Polynomial as
-its coefficient row), multiplies in ints and builds one Fraction per result
-entry.  The product holds Polynomials if either operand held any, and
-Fractions otherwise; a float coefficient is refused with ``TypeError``.
-``compose`` runs Horner's scheme on the same integer rows through the
-kernel's integer core, reduces the common denominator once per step and
-builds Fractions only at the end, by the same rule.
+``fmpq_poly`` layout), multiplies in ints and builds one Fraction per result
+coefficient.  ``compose`` runs Horner's scheme on the same integer lists
+through the kernel's integer core, reduces the common denominator once per
+step and builds Fractions only at the end.  Both refuse, with ``TypeError``,
+a coefficient that is neither an int nor a Fraction, such as a float.
 
 Series with a removable singularity at t = 0, such as t/log(1+t), are not
 stored as such: build the unit-constant cofactor (here log(1+t)/t, via
 ``divided_by_t``) and invert it, so every stored object is an honest element
-of R[[t]] mod t^(N+1).
+of Q[[t]] mod t^(N+1).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable
 
-from .poly import Polynomial, _integer_rows, falling_factorial_poly
+from .poly import _integer_rows
 
 __all__ = [
     "TruncatedSeries",
@@ -38,8 +36,6 @@ __all__ = [
     "constant_series",
     "log1p_series",
     "exp_series",
-    "binomial_series",
-    "exp_xt_series",
 ]
 
 
@@ -83,12 +79,6 @@ class TruncatedSeries:
         """n! times the t^n coefficient: the n-th value of the sequence whose
         exponential generating function this series is."""
         return factorial(n) * self.coefficient(n)
-
-    def _zero(self):
-        return self.coeffs[0] * 0
-
-    def _one(self):
-        return self.coeffs[0] * 0 + 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -135,7 +125,7 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> TruncatedSeries:
         if exponent < 0:
             return self.invert() ** (-exponent)
-        result = constant_series(self._one(), self.order)
+        result = constant_series(Fraction(1), self.order)
         square = self
         e = exponent
         while e:
@@ -164,39 +154,33 @@ class TruncatedSeries:
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """f(g(t)) by Horner's scheme; ``inner`` must be a delta series.
 
-        Horner runs on integer rows over one common denominator.  Each step
-        multiplies the accumulator by g through the product kernel's integer
-        core, adds the next coefficient of f over the lcm of the two
+        Horner runs on integer numerators over one common denominator.  Each
+        step multiplies the accumulator by g through the product kernel's
+        integer core, adds the next coefficient of f over the lcm of the two
         denominators, and divides the denominator and every numerator by
         their gcd.  As g = O(t), the accumulator that g^i still multiplies
         is needed only modulo t^(N+1-i), so it grows by one coefficient per
-        step.  Fractions are built once, at the end, by the product kernel's
-        rule: Polynomials if f or g held any, Fractions otherwise.  At order
-        0 Horner takes no step and f is returned as it is."""
+        step.  Fractions are built once, at the end.  At order 0 Horner
+        takes no step and f is returned as it is."""
         self._check_order(inner)
         if inner.coeffs[0] != 0:
             raise ValueError("composition requires a delta series (zero constant term)")
         if not self.order:
             return self
-        rows_f, den_f, poly_f = _numerator_rows(self.coeffs)
-        rows_g, den_g, poly_g = _numerator_rows(inner.coeffs)
-        acc, den = [rows_f[-1]], den_f
-        for row in reversed(rows_f[:-1]):
-            acc.append([0])
+        nums_f, den_f = _numerators(self.coeffs)
+        nums_g, den_g = _numerators(inner.coeffs)
+        acc, den = [nums_f[-1]], den_f
+        for c in reversed(nums_f[:-1]):
+            acc.append(0)
             den *= den_g
             common = lcm(den, den_f)
-            scale, scale_f = common // den, common // den_f
-            acc = [[v * scale for v in sums] for sums in _convolve_rows(acc, rows_g)]
-            head = acc[0]
-            head.extend([0] * (len(row) - len(head)))
-            for p, v in enumerate(row):
-                head[p] += v * scale_f
-            # A list, not a generator: star-unpacking a generator leaves one
-            # tuple per call on CPython's tuple free list.
-            divisor = gcd(common, *[v for sums in acc for v in sums])
-            acc = [[v // divisor for v in sums] for sums in acc]
+            scale = common // den
+            acc = [v * scale for v in _convolve_ints(acc, nums_g)]
+            acc[0] += c * (common // den_f)
+            divisor = gcd(common, *acc)
+            acc = [v // divisor for v in acc]
             den = common // divisor
-        return TruncatedSeries(_from_rows(acc, den, poly_f or poly_g))
+        return TruncatedSeries(Fraction(v, den) for v in acc)
 
     def derivative(self) -> TruncatedSeries:
         """Termwise d/dt; the truncation order drops by one."""
@@ -206,7 +190,7 @@ class TruncatedSeries:
 
     def multiply_by_t(self) -> TruncatedSeries:
         """Shift every coefficient up one power; the order grows by one."""
-        return TruncatedSeries((self._zero(),) + self.coeffs)
+        return TruncatedSeries((Fraction(0),) + self.coeffs)
 
     def divided_by_t(self) -> TruncatedSeries:
         """Shift down one power; requires a vanishing constant term."""
@@ -220,62 +204,37 @@ class TruncatedSeries:
         return f"TruncatedSeries({list(self.coeffs)!r})"
 
 
-def _numerator_rows(coeffs) -> tuple[list[list[int]], int, bool]:
-    """Each coefficient as a row of integer numerators over one common
-    denominator, the lcm of every entry's denominator.
-
-    A scalar is a row of one entry, a ``Polynomial`` its coefficient tuple
-    (the zero polynomial an empty row).  Also says whether any coefficient
-    was a ``Polynomial``.
-    """
-    entries = []
-    has_poly = False
-    for c in coeffs:
-        if isinstance(c, Polynomial):
-            entries.append(c.coeffs)
-            has_poly = True
-        else:
-            entries.append((c,))
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """The coefficients as integer numerators over one common denominator,
+    the lcm of their denominators."""
     try:
-        rows, den = _integer_rows(entries)
+        (nums,), den = _integer_rows([coeffs])
     except AttributeError:
-        # Floats (and other inexact values) have no numerator/denominator.
-        raise TypeError("series coefficients must be int, Fraction or Polynomial") from None
-    return rows, den, has_poly
+        # Floats and other non-rationals have no numerator/denominator.
+        raise TypeError("series coefficients must be int or Fraction") from None
+    return nums, den
 
 
-def _convolve_rows(rows_a, rows_b) -> list[list[int]]:
-    """The integer core of every series product: the first len(rows_a)
-    coefficients of the product of two series given as rows of integer
-    numerators, each result a row of ints of at least one entry.  Each
-    nonzero numerator of ``rows_a`` is spread over ``rows_b`` once, so zero
-    coefficients cost nothing."""
-    sums = [[0] for _ in rows_a]
-    for i, x in enumerate(rows_a):
-        for p, xp in enumerate(x):
-            if xp:
-                for acc, y in zip(sums[i:], rows_b):
-                    if len(acc) < p + len(y):
-                        acc.extend([0] * (p + len(y) - len(acc)))
-                    for q, yq in enumerate(y, p):
-                        acc[q] += xp * yq
+def _convolve_ints(a, b) -> list[int]:
+    """The integer core of every series product: the first len(a)
+    coefficients of the product of two integer coefficient lists.  Each
+    nonzero entry of ``a`` is spread over ``b`` once, so zero coefficients
+    cost nothing."""
+    sums = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for q, y in zip(range(i, len(a)), b):
+                sums[q] += x * y
     return sums
 
 
-def _from_rows(sums, den: int, has_poly: bool) -> list:
-    """Integer rows over ``den`` as coefficients: Polynomials if
-    ``has_poly``, else one Fraction per row."""
-    if has_poly:
-        return [Polynomial(Fraction(v, den) for v in acc) for acc in sums]
-    return [Fraction(acc[0], den) for acc in sums]
-
-
-def _convolve(a, b) -> list:
+def _convolve(a, b) -> list[Fraction]:
     """Coefficients of the product of two truncated series of equal order:
     products accumulate as ints, and each result entry is reduced once."""
-    rows_a, den_a, poly_a = _numerator_rows(a)
-    rows_b, den_b, poly_b = _numerator_rows(b)
-    return _from_rows(_convolve_rows(rows_a, rows_b), den_a * den_b, poly_a or poly_b)
+    nums_a, den_a = _numerators(a)
+    nums_b, den_b = _numerators(b)
+    den = den_a * den_b
+    return [Fraction(v, den) for v in _convolve_ints(nums_a, nums_b)]
 
 
 def constant_series(value, order: int) -> TruncatedSeries:
@@ -299,21 +258,3 @@ def exp_series(order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("truncation order must be non-negative")
     return TruncatedSeries(Fraction(1, factorial(i)) for i in range(order + 1))
-
-
-def binomial_series(order: int) -> TruncatedSeries:
-    """(1+t)^x over the polynomial ring: the t^j coefficient is (x)_j / j!."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries(
-        falling_factorial_poly(j) / factorial(j) for j in range(order + 1)
-    )
-
-
-def exp_xt_series(order: int) -> TruncatedSeries:
-    """e^(xt) over the polynomial ring: the t^j coefficient is x^j / j!."""
-    if order < 0:
-        raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries(
-        Polynomial([0] * j + [Fraction(1, factorial(j))]) for j in range(order + 1)
-    )

@@ -15,6 +15,9 @@ REMOVED = (
     "SequenceParams",
     "pow_int",
     "normalize",
+    "binomial_series",
+    "exp_xt_series",
+    "row_of",
 )
 
 

@@ -2,71 +2,88 @@
 access order and under concurrent misses; rows are keyed by power-of-two
 order."""
 
+import importlib
 import json
+import pkgutil
 import sys
 import threading
 from fractions import Fraction as F
 from functools import cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polycauchy
 from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
 from polycauchy.cli import main
 from polycauchy.exact import parse_rational
 from polycauchy.memo import grown_order
 from polycauchy.poly import Polynomial
-from polycauchy.series import (
-    binomial_series,
-    exp_series,
-    exp_xt_series,
-    log1p_series,
-)
+from polycauchy.series import TruncatedSeries, exp_series, log1p_series
 
 
-def _t_over_log1p(order):
-    return log1p_series(order + 1).divided_by_t().invert()
-
-
-# Reference definitions: one series of order n+1 per degree n, built from the
-# series primitives alone.
-def _fresh_gf(family, param, order):
-    if family == "poly_oracle":
-        return sk.gf_number_series(param, order) * binomial_series(order)
-    if family == "number_oracle":
+# Reference definitions from the series primitives alone, over Q only: the
+# amplitude series times (1+t)^x or e^(xt) at an integer point x, whose t^j
+# coefficients are C(x, j) and x^j / j!.  They share no code with the Sheffer
+# row builder.
+@cache
+def _amplitude(family, param, order):
+    if family in ("poly_oracle", "number_oracle"):
         return sk.gf_number_series(param, order)
-    if family == "bernoulli_2nd_poly":
-        return _t_over_log1p(order) * binomial_series(order)
-    if family == "bernoulli_2nd_number":
-        return _t_over_log1p(order)
+    if family in ("bernoulli_2nd_poly", "bernoulli_2nd_number"):
+        return log1p_series(order + 1).divided_by_t().invert()
     if family == "bernoulli_high_order_poly":
         expm1_over_t = (exp_series(order + 1) - 1).divided_by_t()
-        return expm1_over_t ** (-param) * exp_xt_series(order)
+        return expm1_over_t ** (-param)
     if family == "frobenius_euler_poly":
         r, lam = param
-        core = ((exp_series(order) - lam).invert() * (1 - lam)) ** r
-        return core * exp_xt_series(order)
+        return ((exp_series(order) - lam).invert() * (1 - lam)) ** r
     assert family == "narumi_poly"
-    return log1p_series(order + 1).divided_by_t() ** param * binomial_series(order)
+    return log1p_series(order + 1).divided_by_t() ** param
+
+
+NUMBERS = ("number_oracle", "bernoulli_2nd_number")
+APPELL = ("bernoulli_high_order_poly", "frobenius_euler_poly")
+
+
+def _fresh_gf(family, param, order, x):
+    if family in APPELL:
+        kernel = TruncatedSeries(F(x**j, factorial(j)) for j in range(order + 1))
+    else:
+        kernel = TruncatedSeries(comb(x, j) for j in range(order + 1))
+    return _amplitude(family, param, order) * kernel
 
 
 @cache
 def fresh(family, param, n):
-    return _fresh_gf(family, param, n + 1).sequence_value(n)
+    """The degree-n value at x = 0..n, one series of order n+1 per point; a
+    number family is its value at x = 0 alone."""
+    points = 1 if family in NUMBERS else n + 1
+    return tuple(_fresh_gf(family, param, n + 1, x).sequence_value(n) for x in range(points))
+
+
+def values(family, value, n):
+    """A looked-up degree-n value in the form ``fresh`` gives: a polynomial
+    of degree at most n is pinned by its values at x = 0..n."""
+    if family in NUMBERS:
+        return (value,)
+    assert value.degree <= n
+    return tuple(value(x) for x in range(n + 1))
 
 
 # family -> (lookup, row memo it reads, parameters to try).  The number
-# lookups read the polynomial rows at x = 0; ``_fresh_gf`` builds them from the
-# number-level series, so the match checks that derivation.
+# lookups read the polynomial rows at x = 0; ``fresh`` builds them from the
+# number-level series, so the match checks that derivation.  The Bernoulli
+# polynomials of the second kind are the Narumi polynomials of order -1.
 FAMILIES = {
     "poly_oracle": (sk.poly_oracle, sk._oracle_rows, (-2, 0, 1, 3)),
     "number_oracle": (sk.number_oracle, sk._oracle_rows, (-1, 2)),
-    "bernoulli_2nd_poly": (lambda n, _: seq.bernoulli_2nd_poly(n), seq._bernoulli_2nd_rows,
-                           (None,)),
-    "bernoulli_2nd_number": (lambda n, _: seq.bernoulli_2nd_number(n),
-                             seq._bernoulli_2nd_rows, (None,)),
+    "bernoulli_2nd_poly": (lambda n, _: seq.bernoulli_2nd_poly(n), seq._narumi_rows, (None,)),
+    "bernoulli_2nd_number": (lambda n, _: seq.bernoulli_2nd_number(n), seq._narumi_rows,
+                             (None,)),
     "bernoulli_high_order_poly": (seq.bernoulli_high_order_poly, seq._high_order_rows,
                                   (-2, 0, 3)),
     "frobenius_euler_poly": (lambda n, p: seq.frobenius_euler_poly(n, *p),
@@ -81,7 +98,7 @@ def _scan(family, requests):
     lookup, rows, _ = FAMILIES[family]
     rows.cache_clear()
     for param, n in requests:
-        assert lookup(n, param) == fresh(family, param, n), (family, param, n)
+        assert values(family, lookup(n, param), n) == fresh(family, param, n), (family, param, n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -108,12 +125,12 @@ def test_grown_order_is_the_next_power_of_two(n, order):
 
 def test_ascending_scan_builds_one_row_per_power_of_two():
     seq._narumi_rows.cache_clear()
-    values = [seq.narumi_poly(n, 2) for n in range(31)]
-    assert values == [fresh("narumi_poly", 2, n) for n in range(31)]
+    for n in range(31):
+        assert values("narumi_poly", seq.narumi_poly(n, 2), n) == fresh("narumi_poly", 2, n)
     info = seq._narumi_rows.cache_info()
     # orders 0, 1, 2, 4, 8, 16, 32
     assert (info.misses, info.hits, info.currsize) == (7, 24, 7)
-    assert seq.narumi_poly(40, 2) == fresh("narumi_poly", 2, 40)
+    assert values("narumi_poly", seq.narumi_poly(40, 2), 40) == fresh("narumi_poly", 2, 40)
     assert seq._narumi_rows.cache_info().misses == 8
     assert len(seq._narumi_rows(2, 64)) == 65
 
@@ -125,6 +142,29 @@ def test_negative_index_rejected():
         sk.poly_oracle(-1, 1)
     with pytest.raises(ValueError, match="non-negative"):
         grown_order(-1)
+
+
+# Every memo in the package, by module: the row memos live in the layers
+# whose ``lru_cache`` statistics the benchmark tracer reads.
+MEMOS = {
+    "polycauchy.poly": {"falling_factorial_poly"},
+    "polycauchy.sequences": {"_high_order_rows", "_frobenius_euler_rows", "_narumi_rows"},
+    "polycauchy.second_kind": {"_oracle_rows", "number_closed", "poly_closed"},
+}
+ROW_MEMO_LAYERS = ("polycauchy.sequences", "polycauchy.second_kind")
+
+
+def test_memo_inventory():
+    found = {}
+    for info in pkgutil.iter_modules(polycauchy.__path__, "polycauchy."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
+                found.setdefault(module.__name__, set()).add(name)
+    assert found == MEMOS
+    assert sum(map(len, found.values())) == 7
+    for _, rows, _ in FAMILIES.values():
+        assert rows.__module__ in ROW_MEMO_LAYERS
 
 
 def test_concurrent_misses_publish_equal_rows():
@@ -149,12 +189,17 @@ def test_concurrent_misses_publish_equal_rows():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == {i: fresh("narumi_poly", a, 6 + i) for i in range(8)}
+    assert {i: values("narumi_poly", p, 6 + i) for i, p in results.items()} == {
+        i: fresh("narumi_poly", a, 6 + i) for i in range(8)
+    }
     # Degrees 6..13 read the rows of orders 8 and 16, and the memo holds those.
     held = rows.cache_info()
     assert held.currsize == 2
     for order in (8, 16):
-        assert list(rows(a, order)) == [fresh("narumi_poly", a, n) for n in range(order + 1)]
+        row = rows(a, order)
+        assert len(row) == order + 1
+        for n, p in enumerate(row):
+            assert values("narumi_poly", p, n) == fresh("narumi_poly", a, n)
     assert rows.cache_info().misses == held.misses
 
 
@@ -181,4 +226,5 @@ def test_gen_rows_match_fresh_builds_to_n30(args, family, param, capsys):
     assert [row["n"] for row in rows] == list(range(31))
     for n in GEN_DEGREES:
         got = Polynomial(parse_rational(c) for c in rows[n]["coefficients"])
-        assert got == fresh(family, param, n) == lookup(n, param), (family, n)
+        assert got == lookup(n, param), (family, n)
+        assert values(family, got, n) == fresh(family, param, n), (family, n)

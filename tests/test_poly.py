@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,24 @@ def test_ints_and_fractions_are_accepted():
 )
 def test_falling_factorial_poly(m, expected):
     assert falling_factorial_poly(m) == expected
+
+
+def test_falling_factorial_poly_does_not_recurse():
+    # A cold degree well past the headroom left under the recursion limit.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    falling_factorial_poly.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        p = falling_factorial_poly(200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert p.degree == 200 and p.leading_coefficient == 1
+    assert p(200) == factorial(200) == p(-1)
+    assert all(p(j) == 0 for j in (0, 1, 99, 199))
 
 
 def test_falling_factorial_value():

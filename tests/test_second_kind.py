@@ -14,6 +14,7 @@ from polycauchy.poly import (
 )
 from polycauchy.sequences import (
     DEFAULT_STIRLING_LIMIT,
+    Stirling1Table,
     TableLimitError,
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
@@ -98,6 +99,21 @@ def test_dual_path_equality(n, k):
     assert sk.poly_closed(n, k) == sk.poly_oracle(n, k)
     assert sk.number_closed(n, k) == sk.poly_oracle(n, k)(0)
     assert sk.number_closed(n, k) == sk.number_oracle(n, k)
+
+
+def test_oracle_never_reads_the_stirling_table(monkeypatch):
+    # The two routes are independent: the oracle's falling factorials come
+    # from their product recurrence, never from the Stirling table.
+    def refuse(self, n, l):
+        raise AssertionError(f"the oracle read S1({n}, {l})")
+
+    sk._oracle_rows.cache_clear()
+    falling_factorial_poly.cache_clear()
+    monkeypatch.setattr(Stirling1Table, "value", refuse)
+    oracle = {(n, k): sk.poly_oracle(n, k) for k in (-2, 0, 3) for n in range(17)}
+    monkeypatch.undo()
+    for (n, k), p in oracle.items():
+        assert p == sk.poly_closed(n, k), (n, k)
 
 
 @pytest.mark.parametrize("k", KS)
