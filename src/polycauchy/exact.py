@@ -25,8 +25,11 @@ def format_rational(value: Rational | int) -> str:
     """Serialize as ``"num/den"`` with den > 0; integers come out as ``"n/1"``.
 
     Python caps int-to-str conversion (4300 digits by default); a value past
-    that cap raises ``UnprintableRationalError``.
+    that cap raises ``UnprintableRationalError``.  A float is inexact and is
+    refused with ``TypeError``.
     """
+    if isinstance(value, float):
+        raise TypeError(f"rationals are exact; got the float {value!r}")
     q = Fraction(value)
     try:
         return f"{q.numerator}/{q.denominator}"

@@ -8,7 +8,8 @@ one key may build the value twice, which repeats work and changes nothing.
 Every polynomial family here is a Sheffer sequence, with exponential
 generating function A(t) (1+t)^x or A(t) e^(xt) for a scalar amplitude
 series A(t).  ``sheffer_rows`` builds P_0, ..., P_N from one amplitude series
-of order N by the Sheffer identity (S. Roman, *The Umbral Calculus*, ch. 2).
+of order N by the Sheffer identity (S. Roman, *The Umbral Calculus*, ch. 2),
+in integer numerators over one common denominator of the numbers.
 One cached row builder per family, keyed by its parameters and an order,
 returns that row.  Truncation modulo t^(N+1) is a ring homomorphism, so a
 series of order N gives each P_n exactly as a fresh one of order n+1 does.
@@ -19,9 +20,10 @@ of two at or above n: an ascending scan 0..n builds rows of orders
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import comb
 
-from .poly import Polynomial, falling_factorial_poly, linear_combination
+from .poly import Polynomial, _integer_rows
 from .series import TruncatedSeries
 
 __all__ = ["grown_order", "sheffer_rows"]
@@ -37,19 +39,22 @@ def grown_order(n: int) -> int:
 
 def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial, ...]:
     """(P_0, ..., P_N) for the amplitude series A(t) of order N:
-    P_n(x) = sum_j C(n,j) a_(n-j) kappa_j(x), with a_m = m! [t^m] A(t).
+    P_n(x) = sum_j w_j kappa_j(x), with w_j = C(n,j) a_(n-j) and
+    a_m = m! [t^m] A(t), in integer numerators over one denominator.
 
-    For (1+t)^x (``falling``) kappa_j is (x)_j, from ``falling_factorial_poly``
-    in ascending j, and each row is one ``linear_combination``; for e^(xt)
-    kappa_j is x^j, and the weights are the row's coefficients."""
+    For e^(xt) kappa_j is x^j, and the weights are the row's coefficients.
+    For (1+t)^x (``falling``) kappa_j is (x)_j, summed by Horner's scheme
+    Q <- w_j + (x - j) Q for j = n..0, with no Stirling number."""
     numbers = [amplitude.sequence_value(m) for m in range(amplitude.order + 1)]
-    kappa = []
+    (numbers,), den = _integer_rows([numbers])
     rows = []
     for n in range(len(numbers)):
         weights = [comb(n, j) * numbers[n - j] for j in range(n + 1)]
         if falling:
-            kappa.append(falling_factorial_poly(n))
-            rows.append(linear_combination(weights, kappa))
-        else:
-            rows.append(Polynomial(weights))
+            acc: list[int] = []
+            for j in range(n, -1, -1):
+                acc = [a - j * b for a, b in zip([0] + acc, acc + [0])]
+                acc[0] += weights[j]
+            weights = acc
+        rows.append(Polynomial(Fraction(w, den) for w in weights))
     return tuple(rows)

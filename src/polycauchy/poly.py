@@ -10,11 +10,14 @@ coefficient, a shift offset, an evaluation point, a divisor or dividend, a
 ``linear_combination`` weight, a ``falling_factorial_value`` point or a
 Frobenius-Euler basis parameter.
 
-``shift`` and ``linear_combination`` work in FLINT's ``fmpq_poly`` layout:
+Arithmetic off the evaluation path works in FLINT's ``fmpq_poly`` layout:
 the coefficients are brought to integer numerators over one common
-denominator (``_integer_rows``, shared with the series product kernel), the
-arithmetic runs in ints, and each result coefficient is one ``Fraction``.
-No intermediate polynomial is built.
+denominator (``_integer_rows``), the arithmetic runs in ints, and each
+result coefficient is one ``Fraction``.  Two kernels do it all: every sum,
+difference, negation, scalar multiple and scalar quotient is one
+``linear_combination``, and every product of two polynomials, or of two
+series, is one ``_convolve_ints``.  ``shift`` runs Horner's scheme on the
+same integer numerators.  No intermediate polynomial is built.
 
 The module also holds the basis tags (``Basis``) of the connection-coefficient
 expansions and the triangular solve against a monic basis.  The expansion rows
@@ -67,6 +70,19 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
 
 
+def _convolve_ints(a, b) -> list[int]:
+    """The integer core of every polynomial and series product: the first
+    len(a) coefficients of the product of two integer coefficient lists.
+    Each nonzero entry of ``a`` is spread over ``b`` once, so zero
+    coefficients cost nothing."""
+    sums = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for q, y in zip(range(i, len(a)), b):
+                sums[q] += x * y
+    return sums
+
+
 class Polynomial:
     """Polynomial in x with exact rational coefficients; ``coeffs[i] * x**i``."""
 
@@ -117,48 +133,28 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coeffs)
+        return linear_combination((-1,), (self,))
 
     def __add__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return Polynomial(summed)
+        return _combine((1, 1), self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return _combine((1, -1), self, other)
 
     def __rsub__(self, other: Polynomial | Fraction | int) -> Polynomial:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return _combine((-1, 1), self, other)
 
     def __mul__(self, other: Polynomial | Fraction | int) -> Polynomial:
         if isinstance(other, _SCALARS):
-            return Polynomial(Fraction(other) * c for c in self.coeffs)
+            return linear_combination((other,), (self,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        (a,), den_a = _integer_rows((self.coeffs,))
+        (b,), den_b = _integer_rows((other.coeffs,))
+        den = den_a * den_b
+        return Polynomial(Fraction(v, den) for v in _convolve_ints(a + [0] * (len(b) - 1), b))
 
     __rmul__ = __mul__
 
@@ -169,8 +165,7 @@ class Polynomial:
             if other.is_zero:
                 raise ZeroDivisionError("polynomial division by zero")
             other = other.coeffs[0]
-        divisor = _exact(other)
-        return Polynomial(c / divisor for c in self.coeffs)
+        return linear_combination((1 / _exact(other),), (self,))
 
     def __rtruediv__(self, other: Fraction | int) -> Polynomial:
         if self.degree > 0:
@@ -270,12 +265,14 @@ def linear_combination(
     return Polynomial(Fraction(a, den) for a in acc)
 
 
-def _as_poly(value: object) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, _SCALARS):
-        return Polynomial((value,))
-    return NotImplemented
+def _combine(weights: tuple[int, int], p: Polynomial, other: object) -> Polynomial:
+    """``linear_combination`` of ``p`` and a polynomial or scalar operand;
+    NotImplemented for any other operand."""
+    if isinstance(other, _SCALARS):
+        other = Polynomial((other,))
+    elif not isinstance(other, Polynomial):
+        return NotImplemented
+    return linear_combination(weights, (p, other))
 
 
 X = Polynomial((0, 1))

@@ -22,8 +22,9 @@ of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``memo.sheffer_rows``),
-C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, with (x)_j from the product
-recurrence of ``falling_factorial_poly``, never from the Stirling table.
+C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, summed by Horner's scheme in
+the falling basis, Q <- w_j + (x - j) Q, so it never reads the Stirling
+table.
 
 Closed-route values are memoized per (n, k).  The oracle keeps grown rows
 per k (see ``memo``): degree n is read from the row of order

@@ -19,7 +19,8 @@ coefficient, as amplitude series times (1+t)^x or e^(xt):
 
 The numbers a_m are m! times the t^m coefficients of the amplitude series,
 and the degree-n member is sum_j C(n,j) a_(n-j) kappa_j(x), with kappa_j the
-falling factorial (x)_j for (1+t)^x and the power x^j for e^(xt).
+falling factorial (x)_j for (1+t)^x, summed by Horner's scheme in the falling
+basis with no Stirling number, and the power x^j for e^(xt).
 
 Each family is memoized in grown rows (see ``memo``): one cached row builder
 per family, keyed by its parameters (alpha, (r, lambda) or a) and an order N,

@@ -7,13 +7,13 @@ that carries the variable x is never a series here, since every polynomial
 family is built from the numbers of its scalar amplitude series (see
 ``memo.sheffer_rows``).
 
-Every series product goes through one kernel, ``_convolve``.  It brings each
-operand to integer numerators over one common denominator (FLINT's
-``fmpq_poly`` layout), multiplies in ints and builds one Fraction per result
-coefficient.  ``compose`` runs Horner's scheme on the same integer lists
-through the kernel's integer core, reduces the common denominator once per
-step and builds Fractions only at the end.  Both refuse, with ``TypeError``,
-a coefficient that is neither an int nor a Fraction, such as a float.
+Every series product brings each operand to integer numerators over one
+common denominator (FLINT's ``fmpq_poly`` layout) and multiplies them with
+``poly._convolve_ints``, the integer core polynomial products share.
+``compose`` runs Horner's scheme through that core, reducing the common
+denominator once per step, and ``invert`` is Newton's iteration on products.
+A coefficient or scalar operand that is neither an int nor a Fraction, such
+as a float or a polynomial, is refused with ``TypeError``.
 
 Series with a removable singularity at t = 0, such as t/log(1+t), are not
 stored as such: build the unit-constant cofactor (here log(1+t)/t, via
@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable
 
-from .poly import _integer_rows
+from .poly import _convolve_ints, _integer_rows
 
 __all__ = [
     "TruncatedSeries",
@@ -103,7 +103,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-        head = self.coeffs[0] + other
+        head = self.coeffs[0] + _scalar(other)
         return TruncatedSeries((head,) + self.coeffs[1:])
 
     __radd__ = __add__
@@ -116,9 +116,11 @@ class TruncatedSeries:
 
     def __mul__(self, other) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
+            other = _scalar(other)
             return TruncatedSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        return TruncatedSeries(_convolve(self.coeffs, other.coeffs))
+        (a, den_a), (b, den_b) = _numerators(self.coeffs), _numerators(other.coeffs)
+        return TruncatedSeries(Fraction(v, den_a * den_b) for v in _convolve_ints(a, b))
 
     __rmul__ = __mul__
 
@@ -137,19 +139,16 @@ class TruncatedSeries:
         return result
 
     def invert(self) -> TruncatedSeries:
-        """Multiplicative inverse; the constant term must be a unit of the ring."""
-        head_source = self.coeffs[0]
-        if isinstance(head_source, int):
-            # keep bare-int coefficients exact instead of falling into floats
-            head_source = Fraction(head_source)
-        try:
-            head = 1 / head_source
-        except (ZeroDivisionError, ValueError):
-            raise ValueError("series not invertible") from None
-        inv = [head]
-        for n in range(1, len(self.coeffs)):
-            inv.append(-head * sum(self.coeffs[i] * inv[n - i] for i in range(1, n + 1)))
-        return TruncatedSeries(inv)
+        """Multiplicative inverse; the constant term must be a unit.  Each
+        Newton step g <- g (2 - f g) doubles the correct coefficients, so
+        ``order.bit_length()`` steps from g = 1/f_0 reach t^order."""
+        head = _scalar(self.coeffs[0])
+        if not head:
+            raise ValueError("series not invertible")
+        inv = constant_series(Fraction(1) / head, self.order)
+        for _ in range(self.order.bit_length()):
+            inv = inv * (2 - self * inv)
+        return inv
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
         """f(g(t)) by Horner's scheme; ``inner`` must be a delta series.
@@ -215,33 +214,19 @@ def _numerators(coeffs) -> tuple[list[int], int]:
     return nums, den
 
 
-def _convolve_ints(a, b) -> list[int]:
-    """The integer core of every series product: the first len(a)
-    coefficients of the product of two integer coefficient lists.  Each
-    nonzero entry of ``a`` is spread over ``b`` once, so zero coefficients
-    cost nothing."""
-    sums = [0] * len(a)
-    for i, x in enumerate(a):
-        if x:
-            for q, y in zip(range(i, len(a)), b):
-                sums[q] += x * y
-    return sums
-
-
-def _convolve(a, b) -> list[Fraction]:
-    """Coefficients of the product of two truncated series of equal order:
-    products accumulate as ints, and each result entry is reduced once."""
-    nums_a, den_a = _numerators(a)
-    nums_b, den_b = _numerators(b)
-    den = den_a * den_b
-    return [Fraction(v, den) for v in _convolve_ints(nums_a, nums_b)]
+def _scalar(value):
+    """``value`` itself if it is an int or a Fraction, the only scalars a
+    series takes."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError("series coefficients must be int or Fraction")
 
 
 def constant_series(value, order: int) -> TruncatedSeries:
     """The constant ``value`` as a series of the given truncation order."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries((value,) + (value * 0,) * order)
+    return TruncatedSeries((_scalar(value),) + (value * 0,) * order)
 
 
 def log1p_series(order: int) -> TruncatedSeries:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polycauchy.exact import format_rational
 from polycauchy.poly import (
     Basis,
     BasisKind,
@@ -69,6 +70,8 @@ def test_division():
         (X + 1) / X
     with pytest.raises(ZeroDivisionError):
         X / Polynomial()
+    with pytest.raises(ZeroDivisionError):
+        Polynomial() / 0
     assert 1 / Polynomial([F(2, 3)]) == Polynomial([F(3, 2)])
     with pytest.raises(ValueError):
         1 / X
@@ -129,11 +132,64 @@ def test_shift_equals_horner_reference_everywhere(p, offset):
     assert p.shift(offset) == _shift_by_horner(p, offset)
 
 
+# Coefficient-wise Fraction references for the operators, which all run
+# through ``linear_combination`` and the integer product core; these loops
+# share no code with either.
+def _ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    summed = list(a)
+    for i, c in enumerate(b):
+        summed[i] += c
+    return summed
+
+
+def _ref_scale(a, c):
+    return [F(c) * x for x in a]
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fractions_only(p):
+    return all(type(c) is F for c in p.coeffs)
+
+
+@given(exact_polynomials, exact_polynomials, exact_scalars)
+def test_arithmetic_equals_coefficientwise_reference(p, q, c):
+    a, b = p.coeffs, q.coeffs
+    expected = {
+        "p + q": (p + q, _ref_add(a, b)),
+        "p - q": (p - q, _ref_add(a, _ref_scale(b, -1))),
+        "-p": (-p, _ref_scale(a, -1)),
+        "c * p": (c * p, _ref_scale(a, c)),
+        "p * c": (p * c, _ref_scale(a, c)),
+        "p + c": (p + c, _ref_add(a, [F(c)])),
+        "c - p": (c - p, _ref_add([F(c)], _ref_scale(a, -1))),
+        "p * q": (p * q, _ref_mul(a, b)),
+    }
+    if c:
+        expected["p / c"] = (p / c, [x / F(c) for x in a])
+    for name, (got, ref) in expected.items():
+        assert got == Polynomial(ref), name
+        assert _fractions_only(got), name
+
+
 @given(st.lists(st.tuples(st.one_of(st.just(0), exact_scalars), exact_polynomials), max_size=6))
 def test_linear_combination_equals_naive_sum(terms):
     weights = [w for w, _ in terms]
     polys = [p for _, p in terms]
-    assert linear_combination(weights, polys) == sum((w * p for w, p in terms), Polynomial())
+    expected: list = []
+    for w, p in terms:
+        expected = _ref_add(expected, _ref_scale(p.coeffs, w))
+    combined = linear_combination(weights, polys)
+    assert combined == Polynomial(expected)
+    assert _fractions_only(combined)
 
 
 def test_linear_combination_edge_cases():
@@ -181,6 +237,7 @@ def test_linear_combination_refuses_unequal_lengths(weights, polys):
         lambda: connection_to_frobenius(1, 1, 1, 0.1),
         lambda: GridConfig(lambdas=(0.1,)),
         lambda: GridConfig(y_values=(0.1,)),
+        lambda: format_rational(0.1),
     ],
     ids=[
         "init",
@@ -197,6 +254,7 @@ def test_linear_combination_refuses_unequal_lengths(weights, polys):
         "connection_to_frobenius",
         "grid_lambdas",
         "grid_y_values",
+        "format_rational",
     ],
 )
 def test_floats_are_refused(use):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycauchy.poly import Polynomial
+from polycauchy.poly import Polynomial, X
 from polycauchy.sequences import lif_series
 from polycauchy.series import (
     InsufficientOrderError,
@@ -15,6 +15,7 @@ from polycauchy.series import (
     exp_series,
     log1p_series,
 )
+from polycauchy.verify import DEFAULT_LAMBDAS
 
 small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 # Scalars as series coefficients: bare ints and zero entries included.
@@ -116,6 +117,34 @@ def test_polynomial_coefficients_are_refused():
         x_series.compose(series_of(0, 1))
     with pytest.raises(TypeError, match="int or Fraction"):
         exp_series(1).compose(TruncatedSeries([0, Polynomial([0, 1])]))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        TruncatedSeries([Polynomial([2]), X]).invert()
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda: exp_series(2) * X,
+        lambda: X * exp_series(2),
+        lambda: exp_series(2) * 0.5,
+        lambda: 0.5 * exp_series(2),
+        lambda: exp_series(2) + X,
+        lambda: X + exp_series(2),
+        lambda: exp_series(2) + 0.5,
+        lambda: exp_series(2) - X,
+        lambda: X - exp_series(2),
+        lambda: 0.5 - exp_series(2),
+        lambda: constant_series(X, 2),
+        lambda: constant_series(0.5, 2),
+    ],
+    ids=[
+        "mul-poly", "rmul-poly", "mul-float", "rmul-float", "add-poly", "radd-poly",
+        "add-float", "sub-poly", "rsub-poly", "rsub-float", "constant-poly", "constant-float",
+    ],
+)
+def test_scalar_operands_must_be_int_or_fraction(use):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        use()
 
 
 @pytest.mark.parametrize(
@@ -130,6 +159,30 @@ def test_invert(series, expected):
     inv = series.invert()
     assert inv == expected
     assert series * inv == constant_series(F(1), series.order)
+
+
+def recurrence_invert(f):
+    """Reference: the inverse by the coefficient recurrence
+    g_n = -g_0 sum_(i=1..n) f_i g_(n-i), one Fraction term at a time."""
+    head = 1 / F(f.coeffs[0])
+    inv = [head]
+    for n in range(1, len(f.coeffs)):
+        inv.append(-head * sum(f.coeffs[i] * inv[n - i] for i in range(1, n + 1)))
+    return TruncatedSeries(inv)
+
+
+INVERTED = {"log(1+t)/t": lambda order: log1p_series(order + 1).divided_by_t()} | {
+    f"e^t - ({lam})": lambda order, lam=lam: exp_series(order) - lam for lam in DEFAULT_LAMBDAS
+}
+
+
+@pytest.mark.parametrize("name", INVERTED)
+def test_newton_invert_equals_recurrence_at_every_order(name):
+    for order in range(65):
+        f = INVERTED[name](order)
+        inv = f.invert()
+        assert inv == recurrence_invert(f), order
+        assert all(type(c) is F for c in inv.coeffs)
 
 
 def test_invert_non_unit():
