@@ -276,9 +276,11 @@ def _parse_basis_spec(spec: str) -> Basis:
 def _cmd_expand(args) -> int:
     _check_size("--n", args.n)
     matrix = sk.connection(args.n, args.k, _parse_basis_spec(args.basis))
+    # A row too large to print is refused before the check rebuilds it.
+    coefficients = [format_rational(c) for c in matrix.entries]
     check = "pass" if matrix.reconstruct() == sk.poly_closed(args.n, args.k) else "fail"
     params = {"n": args.n, "k": args.k, "basis": args.basis}
-    row = {**params, "coefficients": [format_rational(c) for c in matrix.entries], "check": check}
+    row = {**params, "coefficients": coefficients, "check": check}
     _emit(args, "expand", params, [row], list(row))
     return 0 if check == "pass" else 1
 

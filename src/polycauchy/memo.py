@@ -9,7 +9,7 @@ Every polynomial family here is a Sheffer sequence, with exponential
 generating function A(t) (1+t)^x or A(t) e^(xt) for a scalar amplitude
 series A(t).  ``sheffer_rows`` builds P_0, ..., P_N from one amplitude series
 of order N by the Sheffer identity (S. Roman, *The Umbral Calculus*, ch. 2),
-in integer numerators over one common denominator of the numbers.
+in the integer numerators over one denominator that the series stores.
 One cached row builder per family, keyed by its parameters and an order,
 returns that row.  Truncation modulo t^(N+1) is a ring homomorphism, so a
 series of order N gives each P_n exactly as a fresh one of order n+1 does.
@@ -21,9 +21,9 @@ of two at or above n: an ascending scan 0..n builds rows of orders
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .poly import Polynomial, _integer_rows
+from .poly import Polynomial
 from .series import TruncatedSeries
 
 __all__ = ["grown_order", "sheffer_rows"]
@@ -40,13 +40,13 @@ def grown_order(n: int) -> int:
 def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial, ...]:
     """(P_0, ..., P_N) for the amplitude series A(t) of order N:
     P_n(x) = sum_j w_j kappa_j(x), with w_j = C(n,j) a_(n-j) and
-    a_m = m! [t^m] A(t), in integer numerators over one denominator.
+    a_m = m! [t^m] A(t), read as m! nums[m] over the series' denominator.
 
     For e^(xt) kappa_j is x^j, and the weights are the row's coefficients.
     For (1+t)^x (``falling``) kappa_j is (x)_j, summed by Horner's scheme
     Q <- w_j + (x - j) Q for j = n..0, with no Stirling number."""
-    numbers = [amplitude.sequence_value(m) for m in range(amplitude.order + 1)]
-    (numbers,), den = _integer_rows([numbers])
+    numbers = [factorial(m) * v for m, v in enumerate(amplitude.nums)]
+    den = amplitude.den
     rows = []
     for n in range(len(numbers)):
         weights = [comb(n, j) * numbers[n - j] for j in range(n + 1)]

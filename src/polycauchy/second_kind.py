@@ -159,11 +159,7 @@ def number_bernoulli_form(n: int, k: int) -> Fraction:
     stated for n >= 1."""
     if n < 1:
         raise ValueError("the higher-order-Bernoulli form is defined for n >= 1")
-    total = Fraction(0)
-    for l in range(n):
-        weight = bernoulli_high_order_poly(n - 1 - l, n).coefficient(0)
-        total += _sign(l + 1) * binom(n - 1, l) * weight * Fraction(l + 2) ** (-k)
-    return total
+    return _theorem1_sum(n, 0, k)
 
 
 def closed_coefficient(n: int, j: int, k: int) -> Fraction:
@@ -178,16 +174,17 @@ def theorem1_rhs_coefficient(n: int, j: int, k: int) -> Fraction:
     stated for n >= 1 and 1 <= j <= n."""
     if not 1 <= j <= n:
         raise ValueError("coefficient identity needs 1 <= j <= n")
+    return _theorem1_sum(n, j, k)
+
+
+def _theorem1_sum(n: int, j: int, k: int) -> Fraction:
+    """Theorem 1's sum over l from max(j-1, 0) to n-1.  At j = 0 it is
+    C_n^(k) itself: the l = -1 term carries C(n-1,-1) = 0."""
     total = Fraction(0)
-    for l in range(j - 1, n):
+    for l in range(max(j - 1, 0), n):
         weight = bernoulli_high_order_poly(n - 1 - l, n).coefficient(0)
-        total += (
-            _sign(l + 1 - j)
-            * binom(n - 1, l)
-            * binom(l + 1, j)
-            * weight
-            * Fraction(l + 2 - j) ** (-k)
-        )
+        total += (_sign(l + 1 - j) * binom(n - 1, l) * binom(l + 1, j) * weight
+                  * Fraction(l + 2 - j) ** (-k))
     return total
 
 

@@ -126,6 +126,17 @@ def test_unprintable_rational_is_a_usage_error(capsys, argv):
         assert "Traceback" not in err
 
 
+def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monkeypatch):
+    # The falling row of C_2^(20000) holds 2^19999, 6021 digits long.
+    def reconstruct(self):
+        raise AssertionError("reconstructed a row that cannot be printed")
+
+    monkeypatch.setattr(sk.ConnectionMatrix, "reconstruct", reconstruct)
+    code, out, err = run_cli(capsys, "expand", "--n", "2", "--k", "20000", "--basis", "falling")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational too large to print")
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, _, err = run_cli(capsys, "gen", "stirling1", "--n-max", "2", "--format", "json",

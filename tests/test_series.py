@@ -21,13 +21,19 @@ small_rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 # Scalars as series coefficients: bare ints and zero entries included.
 scalars = st.one_of(small_rationals, st.integers(-5, 5), st.just(0))
 # Polynomial coefficients, the zero polynomial (empty list) included: series
-# are over Q only, so any of them is refused.
+# are over Q only, so the constructor refuses any of them.
 polys = st.lists(scalars, max_size=4).map(Polynomial)
 RINGS = {"scalar": scalars, "polynomial": polys, "mixed": st.one_of(scalars, polys)}
 
 
-def holds_polynomial(*series):
-    return any(isinstance(c, Polynomial) for s in series for c in s.coeffs)
+def built_or_refused(coeffs):
+    """The series of ``coeffs``; None when a polynomial among them makes the
+    constructor refuse it, which is checked here."""
+    if any(isinstance(c, Polynomial) for c in coeffs):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            TruncatedSeries(coeffs)
+        return None
+    return TruncatedSeries(coeffs)
 
 
 def schoolbook_product(a, b):
@@ -73,12 +79,10 @@ def test_mul_order_mismatch():
 @given(order=st.integers(0, 5), data=st.data())
 def test_mul_equals_schoolbook_product(left, right, order, data):
     a, b = (
-        TruncatedSeries(data.draw(st.lists(RINGS[ring], min_size=order + 1, max_size=order + 1)))
+        built_or_refused(data.draw(st.lists(RINGS[ring], min_size=order + 1, max_size=order + 1)))
         for ring in (left, right)
     )
-    if holds_polynomial(a, b):
-        with pytest.raises(TypeError, match="int or Fraction"):
-            a * b
+    if a is None or b is None:
         return
     product = a * b
     assert product == schoolbook_product(a, b)
@@ -108,17 +112,25 @@ def test_mul_refuses_float_coefficients():
 
 
 def test_polynomial_coefficients_are_refused():
-    x_series = TruncatedSeries([Polynomial([1]), Polynomial([0, 1])])
     with pytest.raises(TypeError, match="int or Fraction"):
-        x_series * exp_series(1)
+        TruncatedSeries([Polynomial([1]), Polynomial([0, 1])]) * exp_series(1)
     with pytest.raises(TypeError, match="int or Fraction"):
-        exp_series(1) * x_series
+        exp_series(1) * TruncatedSeries([Polynomial([1]), Polynomial([0, 1])])
     with pytest.raises(TypeError, match="int or Fraction"):
-        x_series.compose(series_of(0, 1))
+        TruncatedSeries([Polynomial([1]), Polynomial([0, 1])]).compose(series_of(0, 1))
     with pytest.raises(TypeError, match="int or Fraction"):
         exp_series(1).compose(TruncatedSeries([0, Polynomial([0, 1])]))
     with pytest.raises(TypeError, match="int or Fraction"):
         TruncatedSeries([Polynomial([2]), X]).invert()
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [0.5, X, Polynomial()], ids=["float", "polynomial", "zero-polynomial"])
+def test_constructor_refuses_non_rational_coefficients(bad, position):
+    coeffs = [F(1, 2), 3, F(-2, 3)]
+    coeffs[position] = bad
+    with pytest.raises(TypeError, match="series coefficients must be int or Fraction"):
+        TruncatedSeries(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -228,14 +240,14 @@ DELTA_HEADS = {
 @settings(max_examples=30)
 @given(order=st.integers(0, 5), data=st.data())
 def test_compose_equals_horner_reference(outer, inner, order, data):
-    f = TruncatedSeries(data.draw(st.lists(RINGS[outer], min_size=order + 1, max_size=order + 1)))
-    g = TruncatedSeries(
+    f = built_or_refused(
+        data.draw(st.lists(RINGS[outer], min_size=order + 1, max_size=order + 1))
+    )
+    g = built_or_refused(
         [data.draw(DELTA_HEADS[inner])]
         + data.draw(st.lists(RINGS[inner], min_size=order, max_size=order))
     )
-    if order and holds_polynomial(f, g):
-        with pytest.raises(TypeError, match="int or Fraction"):
-            f.compose(g)
+    if f is None or g is None:
         return
     composed = f.compose(g)
     if order == 0:
