@@ -33,7 +33,7 @@ from typing import Sequence
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import UnprintableRationalError, format_rational, parse_rational
-from .poly import Basis, Polynomial
+from .poly import Basis, BasisKind, Polynomial
 from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -48,6 +48,17 @@ def _check_size(flag: str, value: int) -> None:
     cap = seq.DEFAULT_STIRLING_LIMIT
     if value > cap:
         raise UsageError(f"Stirling table capped at n_max={cap}; {flag} must be at most {cap}")
+
+
+def _refuse_unprintable_k(k: int, times: int = 1) -> None:
+    """Format times * 2^(-k) before any row is built.
+
+    C_1^(k) = -2^(-k), so that value, up to sign, is in every table of
+    ``gen polycauchy2-*`` and at t^1 of ``series polycauchy-gf:K`` and
+    ``series lif:K``; n times it is entry n-1 of the falling row of
+    C_n^(k).  A |k| too large to print is refused here, at once, instead of
+    after the row is computed."""
+    format_rational(times * Fraction(2) ** -k)
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -249,6 +260,8 @@ def _cmd_gen(args) -> int:
             raise UsageError("--r must be non-negative")
         if args.lam == 1:
             raise UsageError("Frobenius-Euler parameter must differ from 1")
+    if name.startswith("polycauchy2-") and args.n_max >= 1:
+        _refuse_unprintable_k(args.k)
     rows = [{"n": n, column: value(args, n)} for n in range(args.n_max + 1)]
     _emit(args, "gen", params, rows, ["n", column])
     return 0
@@ -275,7 +288,10 @@ def _parse_basis_spec(spec: str) -> Basis:
 
 def _cmd_expand(args) -> int:
     _check_size("--n", args.n)
-    matrix = sk.connection(args.n, args.k, _parse_basis_spec(args.basis))
+    basis = _parse_basis_spec(args.basis)
+    if basis.kind is BasisKind.FALLING_FACTORIAL and args.n >= 1:
+        _refuse_unprintable_k(args.k, args.n)
+    matrix = sk.connection(args.n, args.k, basis)
     # A row too large to print is refused before the check rebuilds it.
     coefficients = [format_rational(c) for c in matrix.entries]
     check = "pass" if matrix.reconstruct() == sk.poly_closed(args.n, args.k) else "fail"
@@ -318,6 +334,8 @@ def _cmd_series(args) -> int:
     name, _, param = args.which.partition(":")
     order = args.order
     try:
+        if name in ("lif", "polycauchy-gf") and order >= 1:
+            _refuse_unprintable_k(int(param))
         if name == "lif":
             gf = seq.lif_series(int(param), order)
         elif name == "polycauchy-gf":
@@ -333,6 +351,8 @@ def _cmd_series(args) -> int:
                 f"unknown generating function {args.which!r}; "
                 "use lif:K, polycauchy-gf:K, bernoulli2-gf or narumi-gf:A"
             )
+    except UnprintableRationalError:
+        raise  # a ValueError, but not a bad spec
     except ValueError as exc:
         raise UsageError(f"bad generating-function spec {args.which!r}: {exc}") from None
     rows = [{"i": i, "coefficient": format_rational(gf.coefficient(i))} for i in range(order + 1)]

@@ -18,7 +18,12 @@ sum_{m>=j} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k for every j at once in
 integer numerators over one common denominator (FLINT's ``fmpq_poly``
 layout): lcm(c..n+c)^k for k >= 0 and 1 for k < 0.  ``poly_closed`` and
 ``number_closed`` read it at c = 1, ``closed_coefficient`` is a coefficient
-of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.
+of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.  The
+same layout runs Theorem 6's factored row, ``connection_to_frobenius``: the
+numbers C_0^(k)..C_n^(k) over their lcm L and the weights of 1/(1-lambda)
+= p/q over q^r, so each entry is one Fraction over L q^r.  Theorem 4's
+sides and the addition formula's weights are likewise int sums with one
+Fraction per result.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``memo.sheffer_rows``),
@@ -47,9 +52,10 @@ from .poly import (
     BasisKind,
     Polynomial,
     X,
+    _exact,
+    _integer_rows,
     expand_in_monic_basis,
     falling_factorial_poly,
-    falling_factorial_value,
     linear_combination,
 )
 from .sequences import (
@@ -199,9 +205,17 @@ def poly_closed(n: int, k: int) -> Polynomial:
 # Identities in polynomial form
 
 def addition_rhs(n: int, k: int, y: Fraction | int) -> Polynomial:
-    """sum_{j=0}^{n} C(n,j) C_j^(k)(x) (y)_{n-j}; equals C_n^(k)(x+y)."""
+    """sum_{j=0}^{n} C(n,j) C_j^(k)(x) (y)_{n-j}; equals C_n^(k)(x+y).
+
+    With y = p/q, (y)_i = prod_{t<i} (p - tq) / q^i: one running integer
+    product gives every numerator."""
+    y = _exact(y)
+    p, q = y.numerator, y.denominator
+    falling = [1]
+    for t in range(n):
+        falling.append(falling[-1] * (p - t * q))
     return linear_combination(
-        [binom(n, j) * falling_factorial_value(y, n - j) for j in range(n + 1)],
+        [Fraction(binom(n, j) * falling[n - j], q ** (n - j)) for j in range(n + 1)],
         [poly_closed(j, k) for j in range(n + 1)],
     )
 
@@ -247,16 +261,27 @@ def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     LHS  sum_l m! C(n,l+m) S1(l+m,m) C_{n-l-m}^(k)
     RHS  sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)
              { (m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1) }
+
+    The polynomials C_N^(k) and C_N^(k-1), N <= n-m, are brought to integer
+    numerators over one common denominator D.  Then D C_N^(k) is the
+    constant numerator and D C_N(-1) the alternating sum of the numerators,
+    so both sides accumulate as ints and each becomes one Fraction.
     """
     if not 1 <= m <= n:
         raise ValueError("the contraction identity needs n >= m >= 1")
-    lhs = Fraction(0)
-    rhs = Fraction(0)
-    for l in range(n - m + 1):
-        lhs += factorial(m) * binom(n, l + m) * stirling1(l + m, m) * number_closed(n - l - m, k)
-        inner = (m - 1) * poly_closed(n - l - m, k)(-1) + poly_closed(n - l - m, k - 1)(-1)
-        rhs += factorial(m - 1) * binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1) * inner
-    return lhs, rhs
+    top = n - m
+    rows, den = _integer_rows(
+        [poly_closed(big_n, kk).coeffs for kk in (k, k - 1) for big_n in range(top + 1)]
+    )
+    at_minus_one = [sum(row[::2]) - sum(row[1::2]) for row in rows]
+    minus_one_k, minus_one_k_less = at_minus_one[:top + 1], at_minus_one[top + 1:]
+    lhs = rhs = 0
+    for l in range(top + 1):
+        big_n = top - l
+        lhs += binom(n, l + m) * stirling1(l + m, m) * rows[big_n][0]
+        inner = (m - 1) * minus_one_k[big_n] + minus_one_k_less[big_n]
+        rhs += binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1) * inner
+    return Fraction(factorial(m) * lhs, den), Fraction(factorial(m - 1) * rhs, den)
 
 
 def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -379,23 +404,31 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
 
     and the row is the convolution C_{n,m} = sum_{j=m}^{n} C(n,j) S1(j,m) g(n-j),
     O(nr + n^2) terms instead of O(n^2 r).
+
+    Both sums run in integer numerators.  With 1/(1-lambda) = p/q and L the
+    lcm of the denominators of C_0^(k)..C_n^(k), the weights C(r,a) p^a
+    q^(r-a) are ints, L q^r g(N) is an int, and each entry is one Fraction
+    over L q^r.
     """
     basis = Basis.frobenius_euler(r, lam)
     step = 1 / (1 - basis.param)
-    weights = [binom(r, a) * step**a for a in range(r + 1)]
+    p, q = step.numerator, step.denominator
+    weights = [binom(r, a) * p**a * q ** (r - a) for a in range(r + 1)]
+    (numbers,), den = _integer_rows([[number_closed(i, k) for i in range(n + 1)]])
     g = [
-        sum(weights[a] * perm(big_n, a) * number_closed(big_n - a, k)
+        sum(weights[a] * perm(big_n, a) * numbers[big_n - a]
             for a in range(min(r, big_n) + 1))
         for big_n in range(n + 1)
     ]
+    den *= q**r
     entries = []
     for m in range(n + 1):
-        total = Fraction(0)
+        total = 0
         for j in range(m, n + 1):
             s = stirling1(j, m)
             if s:
                 total += binom(n, j) * s * g[n - j]
-        entries.append(total)
+        entries.append(Fraction(total, den))
     return ConnectionMatrix(n, k, basis, tuple(entries))
 
 

@@ -468,9 +468,10 @@ def catalog_ids() -> tuple[str, ...]:
 
 
 def _param_key(value: int | Fraction | str):
+    # Ints and Fractions compare exactly, so numbers sort as they are.
     if isinstance(value, str):
         return (1, value)
-    return (0, Fraction(value))
+    return (0, value)
 
 
 def _check_key(check: Check):

@@ -137,6 +137,27 @@ def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monk
     assert err.startswith("error: rational too large to print")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "polycauchy2-number", "--k", "100000", "--n-max", "1"),
+    ("gen", "polycauchy2-poly", "--k", "-100000", "--n-max", "3"),
+    ("series", "polycauchy-gf:100000", "--order", "16"),
+    ("series", "lif:-100000", "--order", "1"),
+    ("expand", "--n", "12", "--k", "100000", "--basis", "falling"),
+], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling"])
+def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, argv):
+    # C_1^(k) = -2^(-k) is in each of these outputs, so its digits alone
+    # decide the refusal; no row builder may run first.
+    def builder(*args):
+        raise AssertionError("built a row that cannot be printed")
+
+    for name in ("number_closed", "poly_closed", "gf_number_series", "connection"):
+        monkeypatch.setattr(sk, name, builder)
+    monkeypatch.setattr(seq, "lif_series", builder)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational too large to print")
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, _, err = run_cli(capsys, "gen", "stirling1", "--n-max", "2", "--format", "json",

@@ -361,8 +361,28 @@ def _derivative_formula_literal(n, k):
     return _sign(n) * factorial(n) * acc
 
 
+def _theorem4_sides_loop(n, m, k):
+    """Reference: Theorem 4's two sides with one Fraction term per l, each
+    C_N(-1) evaluated as a polynomial."""
+    lhs = rhs = F(0)
+    for l in range(n - m + 1):
+        lhs += factorial(m) * binom(n, l + m) * stirling1(l + m, m) * sk.number_closed(n - l - m, k)
+        inner = (m - 1) * sk.poly_closed(n - l - m, k)(-1) + sk.poly_closed(n - l - m, k - 1)(-1)
+        rhs += factorial(m - 1) * binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1) * inner
+    return lhs, rhs
+
+
 @pytest.mark.parametrize("k", KS)
-@pytest.mark.parametrize("n", range(11))
+def test_theorem4_sides_equal_fraction_loop(k):
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            sides = sk.theorem4_sides(n, m, k)
+            assert all(type(side) is F for side in sides), (n, m)
+            assert sides == _theorem4_sides_loop(n, m, k), (n, m)
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("n", range(13))
 def test_identity_helpers_equal_literal_forms(n, k):
     for y in DEFAULT_Y_VALUES:
         assert sk.addition_rhs(n, k, y) == _addition_rhs_literal(n, k, y), y
@@ -466,13 +486,26 @@ def _frobenius_row_by_double_sum(n, k, r, lam):
     return tuple(entries)
 
 
-@pytest.mark.parametrize("lam", [F(-1), F(1, 2), F(0), F(5, 7)])
+@pytest.mark.parametrize("lam", [F(-1), F(1, 2), F(0), F(5, 7), F(-1, 3), F(2)])
 @pytest.mark.parametrize("k", [-3, 0, 2])
 def test_frobenius_row_equals_double_sum(k, lam):
-    for n in range(15):
+    for n in range(21):
         for r in (0, 1, 4, 5):
             row = sk.connection_to_frobenius(n, k, r, lam).entries
+            assert all(type(e) is F for e in row), (n, r)
             assert row == _frobenius_row_by_double_sum(n, k, r, lam), (n, r)
+
+
+def test_connection_to_frobenius_holds_no_blocks_between_calls():
+    # The row is on the warm query path: its lcm and entries must leave
+    # nothing on CPython's tuple free list from one call to the next.
+    for n in range(21):
+        sk.connection_to_frobenius(n, 1, 2, F(-1, 3))
+    before = sys.getallocatedblocks()
+    for _ in range(200):
+        for n in range(21):
+            sk.connection_to_frobenius(n, 1, 2, F(-1, 3))
+    assert sys.getallocatedblocks() - before < 1000
 
 
 def test_frobenius_row_reads_each_number_once_per_shift(monkeypatch):

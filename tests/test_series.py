@@ -176,10 +176,11 @@ def test_invert(series, expected):
 def recurrence_invert(f):
     """Reference: the inverse by the coefficient recurrence
     g_n = -g_0 sum_(i=1..n) f_i g_(n-i), one Fraction term at a time."""
-    head = 1 / F(f.coeffs[0])
+    coeffs = f.coeffs
+    head = 1 / F(coeffs[0])
     inv = [head]
-    for n in range(1, len(f.coeffs)):
-        inv.append(-head * sum(f.coeffs[i] * inv[n - i] for i in range(1, n + 1)))
+    for n in range(1, len(coeffs)):
+        inv.append(-head * sum(coeffs[i] * inv[n - i] for i in range(1, n + 1)))
     return TruncatedSeries(inv)
 
 
