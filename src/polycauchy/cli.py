@@ -28,12 +28,13 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import UnprintableRationalError, format_rational, parse_rational
-from .poly import Basis, BasisKind, Polynomial
+from .poly import Basis, Polynomial
 from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -50,15 +51,16 @@ def _check_size(flag: str, value: int) -> None:
         raise UsageError(f"Stirling table capped at n_max={cap}; {flag} must be at most {cap}")
 
 
-def _refuse_unprintable_k(k: int, times: int = 1) -> None:
-    """Format times * 2^(-k) before any row is built.
+def _refuse_unprintable_k(k: int, times: int = 1, shift: Fraction | int = 0) -> None:
+    """Format times * 2^(-k) + shift before any table, series or row is built.
 
     C_1^(k) = -2^(-k), so that value, up to sign, is in every table of
     ``gen polycauchy2-*`` and at t^1 of ``series polycauchy-gf:K`` and
-    ``series lif:K``; n times it is entry n-1 of the falling row of
-    C_n^(k).  A |k| too large to print is refused here, at once, instead of
-    after the row is computed."""
-    format_rational(times * Fraction(2) ** -k)
+    ``series lif:K``.  With times = n and the ``shift`` of ``_cmd_expand``
+    it is entry n-1 of the ``expand`` row of C_n^(k), negated.  A |k| too
+    large to print is refused here, at once, instead of after the row is
+    computed."""
+    format_rational(times * Fraction(2) ** -k + shift)
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -289,8 +291,11 @@ def _parse_basis_spec(spec: str) -> Basis:
 def _cmd_expand(args) -> int:
     _check_size("--n", args.n)
     basis = _parse_basis_spec(args.basis)
-    if basis.kind is BasisKind.FALLING_FACTORIAL and args.n >= 1:
-        _refuse_unprintable_k(args.k, args.n)
+    if args.n >= 1:
+        # C_n^(k)(x) = x^n - (n 2^(-k) + C(n,2)) x^(n-1) + ... and the basis is
+        # monic, so entry n-1 of the row is -(that sum + [x^(n-1)] member).
+        member = sk.basis_member(basis, args.n)
+        _refuse_unprintable_k(args.k, args.n, comb(args.n, 2) + member.coefficient(args.n - 1))
     matrix = sk.connection(args.n, args.k, basis)
     # A row too large to print is refused before the check rebuilds it.
     coefficients = [format_rational(c) for c in matrix.entries]

@@ -9,7 +9,8 @@ Every polynomial family here is a Sheffer sequence, with exponential
 generating function A(t) (1+t)^x or A(t) e^(xt) for a scalar amplitude
 series A(t).  ``sheffer_rows`` builds P_0, ..., P_N from one amplitude series
 of order N by the Sheffer identity (S. Roman, *The Umbral Calculus*, ch. 2),
-in the integer numerators over one denominator that the series stores.
+in the integer numerators over one denominator that the series stores, which
+become each ``Polynomial``'s own fields with no Fraction built.
 One cached row builder per family, keyed by its parameters and an order,
 returns that row.  Truncation modulo t^(N+1) is a ring homomorphism, so a
 series of order N gives each P_n exactly as a fresh one of order n+1 does.
@@ -20,10 +21,9 @@ of two at or above n: an ascending scan 0..n builds rows of orders
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 
-from .poly import Polynomial
+from .poly import Polynomial, _from_numerators
 from .series import TruncatedSeries
 
 __all__ = ["grown_order", "sheffer_rows"]
@@ -56,5 +56,5 @@ def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial,
                 acc = [a - j * b for a, b in zip([0] + acc, acc + [0])]
                 acc[0] += weights[j]
             weights = acc
-        rows.append(Polynomial(Fraction(w, den) for w in weights))
+        rows.append(_from_numerators(weights, den))
     return tuple(rows)

@@ -1,23 +1,24 @@
 """Dense univariate polynomials over exact rationals.
 
-Polynomials are immutable, stored lowest degree first, and kept canonical by
-trimming trailing zeros, so identity checks are literal ``==`` comparisons.
-The zero polynomial is the empty coefficient tuple.  Scalars (``int`` or
-``Fraction``) mix freely in arithmetic and compare equal to constant
-polynomials, which lets polynomial-valued and rational-valued code share the
-same formulas.  A float is inexact and is refused with ``TypeError``, as a
-coefficient, a shift offset, an evaluation point, a divisor or dividend, a
-``linear_combination`` weight, a ``falling_factorial_value`` point or a
-Frobenius-Euler basis parameter.
+A polynomial is stored in FLINT's ``fmpq_poly`` layout, as ``TruncatedSeries``
+is: integer numerators ``nums``, lowest degree first, over one positive
+denominator ``den``, with no common factor and no trailing zero, so identity
+checks are literal ``==`` comparisons.  The zero polynomial is ``()`` over 1.
+Scalars (``int`` or ``Fraction``) mix freely in arithmetic and compare equal
+to constant polynomials, which lets polynomial-valued and rational-valued
+code share the same formulas.  A float is inexact and is refused with
+``TypeError`` wherever a rational is taken, down to a Frobenius-Euler basis
+parameter.
 
-Arithmetic off the evaluation path works in FLINT's ``fmpq_poly`` layout:
-the coefficients are brought to integer numerators over one common
-denominator (``_integer_rows``), the arithmetic runs in ints, and each
-result coefficient is one ``Fraction``.  Two kernels do it all: every sum,
-difference, negation, scalar multiple and scalar quotient is one
-``linear_combination``, and every product of two polynomials, or of two
-series, is one ``_convolve_ints``.  ``shift`` runs Horner's scheme on the
-same integer numerators.  No intermediate polynomial is built.
+Rationals come in through one step that the series constructor shares,
+``_integer_numerators``, and every integer result leaves through one gcd and
+sign reduction, ``_lowest_terms``.  Fractions are built only where
+coefficients are read and by evaluation, Horner's scheme in ``Fraction``s
+over the numerators with one division by ``den``.  Two kernels do the
+arithmetic: every sum, difference, negation, scalar multiple and scalar
+quotient is one ``linear_combination``, and every product of two
+polynomials, or of two series, is one ``_convolve_ints``.  ``shift`` runs
+Horner's scheme on the same integer numerators.
 
 The module also holds the basis tags (``Basis``) of the connection-coefficient
 expansions and the triangular solve against a monic basis.  The expansion rows
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -57,17 +58,32 @@ def _exact(value: Fraction | int) -> Fraction:
     return Fraction(value)
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Rows of rationals as rows of integer numerators over one common
-    denominator, the lcm of every entry's denominator.
+def _integer_numerators(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators,
+    in lowest terms.  A set, not a generator, is star-unpacked: a generator
+    leaves one tuple per call on CPython's tuple free list."""
+    items = [v if isinstance(v, _SCALARS) else _exact(v) for v in values]
+    den = lcm(*{v.denominator for v in items})
+    return [v.numerator * (den // v.denominator) for v in items], den
 
-    The denominators are gathered in a set: star-unpacking a generator
-    builds its argument tuple by resizing, which moves one tuple per call
-    onto CPython's tuple free list of its final size.  Over warm
-    ``reconstruct`` calls that free list kept growing, by about 0.15 MB per
-    pass of the 2000-request ``query-stream`` benchmark."""
-    den = lcm(*{e.denominator for row in rows for e in row})
-    return [[e.numerator * (den // e.denominator) for e in row] for row in rows], den
+
+def _lowest_terms(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """``nums`` over the nonzero ``den`` divided by their gcd, with the sign
+    moved into the numerators."""
+    divisor = gcd(den, *nums)
+    if den < 0:
+        divisor = -divisor
+    return tuple([v // divisor for v in nums]), den // divisor
+
+
+def _from_numerators(nums: list[int], den: int) -> Polynomial:
+    """sum_i nums[i] x^i / den for a nonzero den, with no pass over
+    rationals; trailing zeros are trimmed off ``nums`` in place."""
+    while nums and not nums[-1]:
+        nums.pop()
+    poly = object.__new__(Polynomial)
+    poly.nums, poly.den = _lowest_terms(nums, den)
+    return poly
 
 
 def _convolve_ints(a, b) -> list[int]:
@@ -84,53 +100,59 @@ def _convolve_ints(a, b) -> list[int]:
 
 
 class Polynomial:
-    """Polynomial in x with exact rational coefficients; ``coeffs[i] * x**i``."""
+    """Polynomial in x with exact rational coefficients, stored as the
+    numerators ``nums[i]`` of the x^i coefficients over ``den``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        items = [c if type(c) is Fraction else _exact(c) for c in coeffs]
-        while items and not items[-1]:
-            items.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(items)
+        nums, self.den = _integer_numerators(coeffs)
+        while nums and not nums[-1]:
+            nums.pop()
+        self.nums = tuple(nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of x^0..x^degree as Fractions."""
+        return tuple([Fraction(v, self.den) for v in self.nums])
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coefficient(self.degree)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the degree)."""
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, _SCALARS):
             return self == Polynomial((other,))
         return NotImplemented
 
     def __hash__(self) -> int:
         # Constants hash like their scalar value so p == q implies equal hashes.
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
+        if len(self.nums) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.nums, self.den))
 
     def __neg__(self) -> Polynomial:
         return linear_combination((-1,), (self,))
@@ -151,10 +173,8 @@ class Polynomial:
             return linear_combination((other,), (self,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        (a,), den_a = _integer_rows((self.coeffs,))
-        (b,), den_b = _integer_rows((other.coeffs,))
-        den = den_a * den_b
-        return Polynomial(Fraction(v, den) for v in _convolve_ints(a + [0] * (len(b) - 1), b))
+        padded = self.nums + (0,) * (len(other.nums) - 1)
+        return _from_numerators(_convolve_ints(padded, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -164,41 +184,32 @@ class Polynomial:
                 raise ValueError("cannot divide by a non-constant polynomial")
             if other.is_zero:
                 raise ZeroDivisionError("polynomial division by zero")
-            other = other.coeffs[0]
+            other = other.coefficient(0)
         return linear_combination((1 / _exact(other),), (self,))
 
     def __rtruediv__(self, other: Fraction | int) -> Polynomial:
-        if self.degree > 0:
-            raise ValueError("cannot divide by a non-constant polynomial")
-        if self.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        return Polynomial((_exact(other) / self.coeffs[0],))
+        return Polynomial((other,)) / self
 
     def __pow__(self, exponent: int) -> Polynomial:
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
         result = Polynomial((1,))
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __call__(self, point: Fraction | int) -> Fraction:
-        """Evaluate at ``point`` by Horner's scheme, exactly."""
+        """Evaluate at ``point`` by Horner's scheme over the numerators,
+        exactly, with one division by the denominator at the end."""
         point = _exact(point)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * point + c
-        return acc
+        return acc / self.den
 
     def derivative(self) -> Polynomial:
         """Formal derivative."""
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i)
+        return _from_numerators([i * v for i, v in enumerate(self.nums) if i], self.den)
 
     def shift(self, offset: Fraction | int) -> Polynomial:
         """The polynomial ``p(x + offset)``, expanded exactly.
@@ -209,37 +220,26 @@ class Polynomial:
         """
         offset = _exact(offset)
         u, v = offset.numerator, offset.denominator
-        (nums,), den = _integer_rows((self.coeffs,))
         acc: list[int] = []
-        for i, c in enumerate(reversed(nums)):
+        for i, c in enumerate(reversed(self.nums)):
             acc = [u * a + v * b for a, b in zip(acc + [0], [0] + acc)]
             acc[0] += c * v**i
-        den *= v ** max(self.degree, 0)
-        return Polynomial(Fraction(a, den) for a in acc)
+        return _from_numerators(acc, self.den * v ** max(self.degree, 0))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if self.is_zero:
+        terms = []
+        for i, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                var, mag = "x" if i == 1 else f"x^{i}", abs(c)
+                body = str(mag) if i == 0 else var if mag == 1 else f"{mag}*{var}"
+                terms.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(terms)
+        if not text:
             return "0"
-        parts: list[str] = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-        return " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def linear_combination(
@@ -247,22 +247,22 @@ def linear_combination(
 ) -> Polynomial:
     """sum_i weights[i] * polys[i], summed in integer numerators.
 
-    The weights and the polynomials' coefficients are each brought to one
-    common denominator, products accumulate as ints, and each result
-    coefficient is one ``Fraction``.  Zero weights and zero polynomials are
-    skipped; inputs of unequal length raise ``ValueError``.
+    The weights are brought to one common denominator and the polynomials'
+    numerators to another, products accumulate as ints, and the result is
+    reduced once.  Zero weights and zero polynomials are skipped; inputs of
+    unequal length raise ``ValueError``.
     """
-    terms = [(w, p.coeffs) for w, p in zip(map(_exact, weights), polys, strict=True) if w and p]
+    scales, w_den = _integer_numerators(weights)
+    terms = [(w, p) for w, p in zip(scales, polys, strict=True) if w and p]
     if not terms:
         return Polynomial()
-    (scales,), w_den = _integer_rows([[w for w, _ in terms]])
-    rows, p_den = _integer_rows([row for _, row in terms])
-    acc = [0] * max(map(len, rows))
-    for w, row in zip(scales, rows):
-        for i, c in enumerate(row):
+    p_den = lcm(*{p.den for _, p in terms})
+    acc = [0] * max([len(p.nums) for _, p in terms])
+    for w, p in terms:
+        w *= p_den // p.den
+        for i, c in enumerate(p.nums):
             acc[i] += w * c
-    den = w_den * p_den
-    return Polynomial(Fraction(a, den) for a in acc)
+    return _from_numerators(acc, w_den * p_den)
 
 
 def _combine(weights: tuple[int, int], p: Polynomial, other: object) -> Polynomial:

@@ -14,16 +14,18 @@ the recurrences, the addition/difference/derivative identities, and the three
 connection-coefficient expansions.
 
 The closed route runs through one kernel, ``_stirling_sums``, which computes
-sum_{m>=j} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k for every j at once in
-integer numerators over one common denominator (FLINT's ``fmpq_poly``
-layout): lcm(c..n+c)^k for k >= 0 and 1 for k < 0.  ``poly_closed`` and
-``number_closed`` read it at c = 1, ``closed_coefficient`` is a coefficient
-of ``poly_closed``, and Theorem 2's braced weights read it at c = 2.  The
-same layout runs Theorem 6's factored row, ``connection_to_frobenius``: the
-numbers C_0^(k)..C_n^(k) over their lcm L and the weights of 1/(1-lambda)
-= p/q over q^r, so each entry is one Fraction over L q^r.  Theorem 4's
-sides and the addition formula's weights are likewise int sums with one
-Fraction per result.
+sum_{m>=j} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k for every j at once as the
+integer numerators of a ``Polynomial`` over one common denominator (FLINT's
+``fmpq_poly`` layout, the one ``Polynomial`` stores): lcm(c..n+c)^k for
+k >= 0 and 1 for k < 0.  ``poly_closed`` is that polynomial at c = 1,
+``number_closed`` its constant term, ``closed_coefficient`` one of its
+coefficients, and Theorem 2's braced weights are the polynomial at c = 2.
+The same layout runs Theorem 6's factored row, ``connection_to_frobenius``:
+the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
+1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r.
+Theorem 4's sides are each one ``linear_combination`` of closed
+polynomials, read at a point, and the addition formula's weights are int
+products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``memo.sheffer_rows``),
@@ -53,7 +55,8 @@ from .poly import (
     Polynomial,
     X,
     _exact,
-    _integer_rows,
+    _from_numerators,
+    _integer_numerators,
     expand_in_monic_basis,
     falling_factorial_poly,
     linear_combination,
@@ -128,15 +131,15 @@ def number_oracle(n: int, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Closed-form route
 
-def _stirling_sums(n: int, k: int, c: int, width: int) -> list[Fraction]:
-    """[ sum_{m=j}^{n} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k  for j < width ].
+def _stirling_sums(n: int, k: int, c: int, width: int) -> Polynomial:
+    """The polynomial whose x^j coefficient, for j < width, is
+    sum_{m=j}^{n} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k.
 
-    The sums run in integer numerators over one common denominator: for
-    k >= 0 each 1/d^k is (L/d)^k / L^k with L = lcm(c..n+c), and for k < 0
-    it is the integer d^|k|.  Each power is computed once, for the offset
-    d - c = m - j it serves, every product is an int, and each sum becomes
-    one Fraction.  A negative degree is refused, as the generating-function
-    route refuses it."""
+    The sums are the numerators over one common denominator: for k >= 0
+    each 1/d^k is (L/d)^k / L^k with L = lcm(c..n+c), and for k < 0 it is
+    the integer d^|k|.  Each power is computed once, for the offset
+    d - c = m - j it serves.  A negative degree is refused, as the
+    generating-function route refuses it."""
     if n < 0:
         raise ValueError("sequence index must be non-negative")
     row = [stirling1(n, m) for m in range(n + 1)]
@@ -151,13 +154,13 @@ def _stirling_sums(n: int, k: int, c: int, width: int) -> list[Fraction]:
             s = row[j + e]
             if s:
                 totals[j] += s * comb(j + e, j) * power
-    return [Fraction(total, den) for total in totals]
+    return _from_numerators(totals, den)
 
 
 @lru_cache(maxsize=None)
 def number_closed(n: int, k: int) -> Fraction:
     """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k."""
-    return _stirling_sums(n, k, 1, 1)[0]
+    return _stirling_sums(n, k, 1, 1).coefficient(0)
 
 
 def number_bernoulli_form(n: int, k: int) -> Fraction:
@@ -198,7 +201,7 @@ def _theorem1_sum(n: int, j: int, k: int) -> Fraction:
 def poly_closed(n: int, k: int) -> Polynomial:
     """C_n^(k)(x), monic of degree n: its x^j coefficient is
     sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m) / (m-j+1)^k."""
-    return Polynomial(_stirling_sums(n, k, 1, n + 1))
+    return _stirling_sums(n, k, 1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +237,7 @@ def recurrence_theorem2_rhs(n: int, k: int) -> Polynomial:
 
     The sum is the polynomial with the braced weights as coefficients,
     shifted by -1."""
-    weights = _stirling_sums(n, k, 2, n + 1)
-    return X * poly_closed(n, k).shift(-1) - Polynomial(weights).shift(-1)
+    return X * poly_closed(n, k).shift(-1) - _stirling_sums(n, k, 2, n + 1).shift(-1)
 
 
 def recurrence_theorem3_rhs(n: int, k: int) -> Polynomial:
@@ -262,26 +264,22 @@ def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     RHS  sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)
              { (m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1) }
 
-    The polynomials C_N^(k) and C_N^(k-1), N <= n-m, are brought to integer
-    numerators over one common denominator D.  Then D C_N^(k) is the
-    constant numerator and D C_N(-1) the alternating sum of the numerators,
-    so both sides accumulate as ints and each becomes one Fraction.
-    """
+    Each side is one ``linear_combination`` of C_N^(k) and C_N^(k-1),
+    N <= n-m, read at x = 0 and at x = -1."""
     if not 1 <= m <= n:
         raise ValueError("the contraction identity needs n >= m >= 1")
     top = n - m
-    rows, den = _integer_rows(
-        [poly_closed(big_n, kk).coeffs for kk in (k, k - 1) for big_n in range(top + 1)]
+    polys = [poly_closed(top - l, k) for l in range(top + 1)]
+    lhs = linear_combination(
+        [factorial(m) * binom(n, l + m) * stirling1(l + m, m) for l in range(top + 1)], polys
     )
-    at_minus_one = [sum(row[::2]) - sum(row[1::2]) for row in rows]
-    minus_one_k, minus_one_k_less = at_minus_one[:top + 1], at_minus_one[top + 1:]
-    lhs = rhs = 0
-    for l in range(top + 1):
-        big_n = top - l
-        lhs += binom(n, l + m) * stirling1(l + m, m) * rows[big_n][0]
-        inner = (m - 1) * minus_one_k[big_n] + minus_one_k_less[big_n]
-        rhs += binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1) * inner
-    return Fraction(factorial(m) * lhs, den), Fraction(factorial(m - 1) * rhs, den)
+    outer = [factorial(m - 1) * binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1)
+             for l in range(top + 1)]
+    rhs = linear_combination(
+        [(m - 1) * w for w in outer] + outer,
+        polys + [poly_closed(top - l, k - 1) for l in range(top + 1)],
+    )
+    return lhs.coefficient(0), rhs(-1)
 
 
 def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -414,7 +412,7 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
     step = 1 / (1 - basis.param)
     p, q = step.numerator, step.denominator
     weights = [binom(r, a) * p**a * q ** (r - a) for a in range(r + 1)]
-    (numbers,), den = _integer_rows([[number_closed(i, k) for i in range(n + 1)]])
+    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
     g = [
         sum(weights[a] * perm(big_n, a) * numbers[big_n - a]
             for a in range(min(r, big_n) + 1))

@@ -8,11 +8,14 @@ family is built from the numbers of its scalar amplitude series (see
 
 A series is stored in FLINT's ``fmpq_poly`` layout: integer numerators
 ``nums`` over one positive denominator ``den``, with no common factor, so
-``==`` and ``hash`` compare the two fields.  The constructor is the only way
-in from rationals and the only type check; it refuses any coefficient or
-scalar operand that is not an int or a Fraction with ``TypeError``.  Every
-operation works on the numerators and reduces its result once (``_reduced``),
-and Fractions are built only where coefficients are read.  Products run on
+``==`` and ``hash`` compare the two fields, as for ``Polynomial``.  The
+constructor is the only way in from rationals and the only type check; it
+refuses any coefficient or scalar operand that is not an int or a Fraction
+with ``TypeError``, then brings the rationals to integer numerators by the
+step ``Polynomial``'s constructor uses (``poly._integer_numerators``).  Every
+operation works on the numerators and reduces its result once (``_reduced``,
+by ``poly._lowest_terms``), and Fractions are built only where coefficients
+are read.  Products run on
 ``poly._convolve_ints``, which ``compose``'s Horner steps share, and
 ``invert`` is Newton's iteration at doubling precision.
 
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Iterable
 
-from .poly import _convolve_ints
+from .poly import _convolve_ints, _integer_numerators, _lowest_terms
 
 __all__ = [
     "TruncatedSeries",
@@ -65,11 +68,8 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
         if not all(isinstance(c, (int, Fraction)) for c in items):
             raise TypeError("series coefficients must be int or Fraction")
-        # Over the lcm of reduced denominators the numerators share no factor
-        # with it, so the result is already in lowest terms.
-        den = lcm(*{c.denominator for c in items})
-        self.nums = tuple([c.numerator * (den // c.denominator) for c in items])
-        self.den = den
+        nums, self.den = _integer_numerators(items)
+        self.nums = tuple(nums)
 
     @property
     def order(self) -> int:
@@ -214,12 +214,8 @@ class TruncatedSeries:
 def _reduced(nums, den: int) -> TruncatedSeries:
     """The series with numerators ``nums`` over the nonzero ``den``, in
     lowest terms and with the sign moved into the numerators."""
-    divisor = gcd(den, *nums)
-    if den < 0:
-        divisor = -divisor
     series = object.__new__(TruncatedSeries)
-    series.nums = tuple([v // divisor for v in nums])
-    series.den = den // divisor
+    series.nums, series.den = _lowest_terms(nums, den)
     return series
 
 

@@ -1,16 +1,19 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
+from polycauchy import cli
 from polycauchy.cli import main
-from polycauchy.exact import parse_rational
+from polycauchy.exact import UnprintableRationalError, format_rational, parse_rational
 from polycauchy.poly import Polynomial
+from polycauchy.verify import DEFAULT_LAMBDAS
 
 
 def run_cli(capsys, *argv):
@@ -143,7 +146,11 @@ def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monk
     ("series", "polycauchy-gf:100000", "--order", "16"),
     ("series", "lif:-100000", "--order", "1"),
     ("expand", "--n", "12", "--k", "100000", "--basis", "falling"),
-], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling"])
+    ("expand", "--n", "4", "--k", "100000", "--basis", "bernoulli:1"),
+    ("expand", "--n", "4", "--k", "100000", "--basis", "frobenius:1:-1"),
+    ("expand", "--n", "3", "--k", "-100000", "--basis", "frobenius:2:1/2"),
+], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling",
+        "expand-bernoulli", "expand-frobenius", "expand-frobenius-negative-k"])
 def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, argv):
     # C_1^(k) = -2^(-k) is in each of these outputs, so its digits alone
     # decide the refusal; no row builder may run first.
@@ -156,6 +163,63 @@ def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, a
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: rational too large to print")
+
+
+EXPAND_SPECS = (
+    ["falling"]
+    + [f"bernoulli:{r}" for r in (0, 1, 4)]
+    + [f"frobenius:{r}:{format_rational(lam)}" for r in (0, 1, 4) for lam in DEFAULT_LAMBDAS]
+)
+EXPAND_BASES = [cli._parse_basis_spec(spec) for spec in EXPAND_SPECS]
+
+
+def _shift(n, basis):
+    return comb(n, 2) + sk.basis_member(basis, n).coefficient(n - 1)
+
+
+def _refused_early(n, k, basis):
+    try:
+        cli._refuse_unprintable_k(k, n, _shift(n, basis))
+    except UnprintableRationalError:
+        return True
+    return False
+
+
+def _row_unprintable(n, k, basis):
+    try:
+        [format_rational(c) for c in sk.connection(n, k, basis).entries]
+    except UnprintableRationalError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("basis", EXPAND_BASES, ids=EXPAND_SPECS)
+def test_early_refusal_formats_entry_n_minus_1_of_the_row(basis):
+    for n in range(1, 9):
+        for k in range(-4, 5):
+            expected = -(n * F(2) ** -k + _shift(n, basis))
+            assert sk.connection(n, k, basis).entries[n - 1] == expected, (n, k)
+
+
+def test_early_refusal_fires_only_on_an_unprintable_row():
+    # 2^2126 has 640 digits, the least limit Python accepts.  The refused
+    # value is entry n-1 of the row, so a refusal is never spurious; at
+    # n = 1 the row is that entry and 1, so the two agree exactly.  For
+    # n >= 2 the row also holds C_n^(k), whose denominator lcm(1..n+1)^k
+    # outgrows 2^k, so the row can fail where the early check passes.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fired = 0
+        for k in [*range(2120, 2133), *range(-2132, -2119)]:
+            for n in range(1, 5):
+                for basis in EXPAND_BASES:
+                    early, full = _refused_early(n, k, basis), _row_unprintable(n, k, basis)
+                    assert full if early else not (n == 1 and full), (n, k, basis)
+                    fired += early
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert 0 < fired < 26 * 4 * len(EXPAND_BASES)
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):

@@ -1,12 +1,13 @@
 import sys
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy.exact import format_rational
+from polycauchy.memo import sheffer_rows
 from polycauchy.poly import (
     Basis,
     BasisKind,
@@ -17,8 +18,9 @@ from polycauchy.poly import (
     falling_factorial_value,
     linear_combination,
 )
-from polycauchy.second_kind import addition_rhs, connection_to_frobenius
+from polycauchy.second_kind import addition_rhs, connection_to_frobenius, poly_closed
 from polycauchy.sequences import frobenius_euler_poly, stirling1
+from polycauchy.series import TruncatedSeries
 from polycauchy.verify import GridConfig
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -180,6 +182,49 @@ def test_arithmetic_equals_coefficientwise_reference(p, q, c):
         assert _fractions_only(got), name
 
 
+def _assert_canonical(p):
+    assert all(type(v) is int for v in p.nums) and type(p.den) is int
+    assert p.den > 0
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1]
+
+
+@given(
+    exact_polynomials,
+    exact_polynomials,
+    exact_scalars,
+    offsets,
+    st.lists(exact_scalars, min_size=1, max_size=8),
+    st.booleans(),
+    st.integers(0, 12),
+    st.integers(-4, 4),
+)
+def test_every_producer_keeps_the_storage_canonical(p, q, c, offset, amplitude, falling, n, k):
+    produced = [
+        Polynomial(list(p.coeffs) + [0, F(0)]),
+        p + q, p - q, -p, p * q,
+        c * p, p * c, p + c, c + p, p - c, c - p,
+        p.shift(offset), p.derivative(),
+        linear_combination([c, 1, 0], [p, q, X]),
+        poly_closed(n, k),
+        *sheffer_rows(TruncatedSeries(amplitude), falling),
+    ]
+    if c:
+        produced += [p / c, p / Polynomial([c]), c / Polynomial([c])]
+    for r in produced:
+        _assert_canonical(r)
+        twin = Polynomial(list(r.coeffs))
+        assert (twin.nums, twin.den) == (r.nums, r.den)
+        assert twin == r and hash(twin) == hash(r)
+        if r.degree < 1:
+            scalar = r.coefficient(0)
+            assert r == scalar and hash(r) == hash(scalar)
+    for a in produced:
+        for b in produced:
+            if a == b:
+                assert hash(a) == hash(b)
+
+
 @given(st.lists(st.tuples(st.one_of(st.just(0), exact_scalars), exact_polynomials), max_size=6))
 def test_linear_combination_equals_naive_sum(terms):
     weights = [w for w, _ in terms]
@@ -267,7 +312,7 @@ def test_ints_and_fractions_are_accepted():
     p = Polynomial((1, third))
     assert p.coeffs == (F(1), third)
     assert all(type(c) is F for c in p.coeffs)
-    assert p.coeffs[1] is third
+    assert p.coeffs[1] == third and type(p.coeffs[1]) is F
     assert p.shift(1) == p.shift(F(1)) == Polynomial((F(4, 3), third))
     assert p(3) == p(F(3)) == 2
 
