@@ -9,6 +9,10 @@ connecting identities over parameter grids with zero-tolerance equality.
 All arithmetic is exact: rationals are arbitrary-precision fractions, series
 are truncated formal power series, and identity checks compare canonical
 forms structurally.
+
+The verification suite (``verify``) loads on first use: its four exported
+names resolve through the module ``__getattr__`` below, so importing the
+package, or running ``gen``, ``expand`` or ``series``, never loads it.
 """
 
 from .exact import Rational, format_rational, parse_rational
@@ -41,7 +45,6 @@ from .sequences import (
     stirling1,
 )
 from .series import TruncatedSeries, exp_series, log1p_series
-from .verify import GridConfig, VerificationReport, catalog, run_suite
 
 __version__ = "0.1.0"
 
@@ -80,3 +83,14 @@ __all__ = [
     "run_suite",
     "__version__",
 ]
+
+_VERIFY_NAMES = frozenset({"GridConfig", "VerificationReport", "catalog", "run_suite"})
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the module does not define.
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

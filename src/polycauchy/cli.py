@@ -11,6 +11,11 @@ intact.
 Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
 block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
 
+The identity suite (``verify``) and ``datetime`` are imported inside the
+``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
+``expand`` and ``series`` never load ``verify``, and a start-up pays only for
+what its command runs.
+
 Exit codes: 0 success, 1 verification failures, 2 usage errors, including
 requests beyond a table's size limit, values too large to print and output
 files that cannot be written.  The size flags ``gen --n-max``, ``expand --n``
@@ -21,21 +26,18 @@ and ``series --order`` share one cap, the Stirling table's
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import UnprintableRationalError, format_rational, parse_rational
 from .poly import Basis, Polynomial
-from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -161,6 +163,8 @@ def _poly_strings(p: Polynomial) -> list[str]:
 
 
 def _render_csv(columns: list[str], rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(columns)
@@ -307,6 +311,10 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from datetime import datetime, timezone
+
+    from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
+
     lambdas = tuple(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
     identities = tuple(args.identities) if args.identities else None
     try:
@@ -340,7 +348,15 @@ def _cmd_series(args) -> int:
     order = args.order
     try:
         if name in ("lif", "polycauchy-gf") and order >= 1:
-            _refuse_unprintable_k(int(param))
+            k = int(param)
+            _refuse_unprintable_k(k)
+            # The t^order coefficient by its closed form, before any series
+            # is built: 1/(order+1)^k or C_order^(k), over order!.
+            if name == "lif":
+                last = Fraction(order + 1) ** -k
+            else:
+                last = sk._stirling_sums(order, k, 1, 1).coefficient(0)
+            format_rational(last / factorial(order))
         if name == "lif":
             gf = seq.lif_series(int(param), order)
         elif name == "polycauchy-gf":

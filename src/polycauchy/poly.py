@@ -28,7 +28,7 @@ way to reassemble a polynomial from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -307,34 +307,35 @@ class BasisKind(Enum):
     FROBENIUS_EULER = "frobenius-euler"
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
     """A polynomial basis tag; the parametric bases carry their parameters.
 
     ``order`` is the r of the higher-order-Bernoulli / Frobenius-Euler
     families; ``param`` is the Frobenius-Euler lambda, which must differ
-    from 1 for the generating function to exist.
+    from 1 for the generating function to exist.  Immutable and hashable;
+    fields are checked, and ``param`` made exact, on construction.
     """
 
-    kind: BasisKind
-    order: int | None = None
-    param: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        needs_order = self.kind in (BasisKind.HIGHER_ORDER_BERNOULLI, BasisKind.FROBENIUS_EULER)
+    def __new__(
+        cls, kind: BasisKind, order: int | None = None, param: Fraction | None = None
+    ) -> Basis:
+        needs_order = kind in (BasisKind.HIGHER_ORDER_BERNOULLI, BasisKind.FROBENIUS_EULER)
         if needs_order:
-            if self.order is None or self.order < 0:
-                raise ValueError(f"{self.kind.value} basis needs a non-negative order")
-        elif self.order is not None:
-            raise ValueError(f"{self.kind.value} basis takes no order")
-        if self.kind is BasisKind.FROBENIUS_EULER:
-            if self.param is None:
+            if order is None or order < 0:
+                raise ValueError(f"{kind.value} basis needs a non-negative order")
+        elif order is not None:
+            raise ValueError(f"{kind.value} basis takes no order")
+        if kind is BasisKind.FROBENIUS_EULER:
+            if param is None:
                 raise ValueError("frobenius-euler basis needs a parameter")
-            object.__setattr__(self, "param", _exact(self.param))
-            if self.param == 1:
+            param = _exact(param)
+            if param == 1:
                 raise ValueError("Frobenius-Euler parameter must differ from 1")
-        elif self.param is not None:
-            raise ValueError(f"{self.kind.value} basis takes no parameter")
+        elif param is not None:
+            raise ValueError(f"{kind.value} basis takes no parameter")
+        return super().__new__(cls, kind, order, param)
 
     @classmethod
     def falling_factorial(cls) -> Basis:

@@ -42,11 +42,11 @@ oracle polynomials at x = 0.  The caches are invisible to results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
+from typing import NamedTuple
 
 from .memo import grown_order, sheffer_rows
 from .poly import (
@@ -332,8 +332,7 @@ def bernoulli2nd_power_weight(
     return bernoulli2nd_convolution(r, a)
 
 
-@dataclass(frozen=True)
-class ConnectionMatrix:
+class ConnectionMatrix(NamedTuple):
     """The row of connection coefficients writing C_n^(k)(x) in a target
     basis: C_n^(k)(x) = sum_m entries[m] * (degree-m basis member)."""
 

@@ -40,7 +40,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .memo import grown_order, sheffer_rows
-from .poly import Polynomial, _exact
+from .poly import Polynomial, _exact, _integer_numerators
 from .series import TruncatedSeries, exp_series, log1p_series
 
 __all__ = [
@@ -207,18 +207,22 @@ def bernoulli2nd_convolution(r: int, a: int) -> Fraction:
     multinomial(a; a_1..a_r) * b_{a_1} * ... * b_{a_r}, with b_j the
     Bernoulli numbers of the second kind.  Equals a! [t^a] (t/log(1+t))^r;
     the empty product (r = 0) contributes 1 only at a = 0.
+
+    b_0..b_a are read once, as integer numerators over one denominator D,
+    so each product of r of them is an int over D^r.
     """
     if r < 0 or a < 0:
         raise ValueError("convolution indices must be non-negative")
     if r == 0:
         return Fraction(1 if a == 0 else 0)
-    total = Fraction(0)
+    b, den = _integer_numerators([bernoulli_2nd_number(j) for j in range(a + 1)])
+    total = 0
     for parts in _compositions(a, r):
-        term = Fraction(multinomial(parts))
+        term = multinomial(parts)
         for p in parts:
-            term *= bernoulli_2nd_number(p)
+            term *= b[p]
         total += term
-    return total
+    return Fraction(total, den**r)
 
 
 def _compositions(total: int, count: int):

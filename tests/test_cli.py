@@ -149,11 +149,14 @@ def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monk
     ("expand", "--n", "4", "--k", "100000", "--basis", "bernoulli:1"),
     ("expand", "--n", "4", "--k", "100000", "--basis", "frobenius:1:-1"),
     ("expand", "--n", "3", "--k", "-100000", "--basis", "frobenius:2:1/2"),
+    ("series", "polycauchy-gf:6000", "--order", "16"),
 ], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling",
-        "expand-bernoulli", "expand-frobenius", "expand-frobenius-negative-k"])
+        "expand-bernoulli", "expand-frobenius", "expand-frobenius-negative-k",
+        "series-polycauchy-gf-last-coefficient"])
 def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, argv):
     # C_1^(k) = -2^(-k) is in each of these outputs, so its digits alone
-    # decide the refusal; no row builder may run first.
+    # decide the refusal; no row builder may run first.  At k = 6000 C_1
+    # prints, and the series' last coefficient, in closed form, refuses.
     def builder(*args):
         raise AssertionError("built a row that cannot be printed")
 

@@ -388,6 +388,13 @@ def test_basis_validation():
         Basis.higher_order_bernoulli(-1)
     with pytest.raises(ValueError):
         Basis(BasisKind.FALLING_FACTORIAL, order=2)
+    with pytest.raises(ValueError, match="takes no parameter"):
+        Basis(BasisKind.HIGHER_ORDER_BERNOULLI, 1, F(2))
+    with pytest.raises(ValueError, match="needs a parameter"):
+        Basis(BasisKind.FROBENIUS_EULER, order=1)
+    with pytest.raises(ValueError, match="non-negative order"):
+        Basis(BasisKind.FROBENIUS_EULER, param=2)
+    assert type(Basis.frobenius_euler(1, 2).param) is F
 
 
 def test_str_rendering():

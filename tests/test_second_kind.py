@@ -535,6 +535,26 @@ def test_reconstruct_is_the_weighted_sum_of_members(basis):
         assert row.reconstruct() == expected, row.entries
 
 
+@pytest.mark.parametrize(
+    "make, field, other",
+    [
+        (lambda: Basis.frobenius_euler(2, 2), "param", Basis.frobenius_euler(2, F(1, 2))),
+        (lambda: sk.connection(3, 1, Basis.falling_factorial()), "entries",
+         sk.connection(3, 2, Basis.falling_factorial())),
+    ],
+    ids=["Basis", "ConnectionMatrix"],
+)
+def test_value_types_are_immutable_and_hashable(make, field, other):
+    a, b = make(), make()
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        a.extra = None
+
+
 @pytest.mark.parametrize("k", range(-2, 3))
 @pytest.mark.parametrize("n", range(7))
 def test_triangular_solve_agrees_with_formulas(n, k):
