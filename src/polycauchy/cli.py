@@ -262,10 +262,10 @@ def _cmd_gen(args) -> int:
             raise UsageError(f"sequence {name!r} requires {flag}")
         params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
     if name == "frobenius-euler":
-        if args.r < 0:
-            raise UsageError("--r must be non-negative")
-        if args.lam == 1:
-            raise UsageError("Frobenius-Euler parameter must differ from 1")
+        try:
+            Basis.frobenius_euler(args.r, args.lam)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if name.startswith("polycauchy2-") and args.n_max >= 1:
         _refuse_unprintable_k(args.k)
     rows = [{"n": n, column: value(args, n)} for n in range(args.n_max + 1)]

@@ -307,6 +307,17 @@ class BasisKind(Enum):
     FROBENIUS_EULER = "frobenius-euler"
 
 
+def _frobenius_euler_lambda(order: int | None, lam: Fraction | int) -> Fraction:
+    """lambda, made exact, of a Frobenius-Euler family or basis: the order
+    must be non-negative and lambda differ from 1."""
+    if order is None or order < 0:
+        raise ValueError("Frobenius-Euler family needs a non-negative order")
+    lam = _exact(lam)
+    if lam == 1:
+        raise ValueError("Frobenius-Euler parameter must differ from 1")
+    return lam
+
+
 class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
     """A polynomial basis tag; the parametric bases carry their parameters.
 
@@ -321,20 +332,17 @@ class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
     def __new__(
         cls, kind: BasisKind, order: int | None = None, param: Fraction | None = None
     ) -> Basis:
-        needs_order = kind in (BasisKind.HIGHER_ORDER_BERNOULLI, BasisKind.FROBENIUS_EULER)
-        if needs_order:
+        if kind is BasisKind.FROBENIUS_EULER:
+            if param is None:
+                raise ValueError("frobenius-euler basis needs a parameter")
+            param = _frobenius_euler_lambda(order, param)
+        elif param is not None:
+            raise ValueError(f"{kind.value} basis takes no parameter")
+        elif kind is BasisKind.HIGHER_ORDER_BERNOULLI:
             if order is None or order < 0:
                 raise ValueError(f"{kind.value} basis needs a non-negative order")
         elif order is not None:
             raise ValueError(f"{kind.value} basis takes no order")
-        if kind is BasisKind.FROBENIUS_EULER:
-            if param is None:
-                raise ValueError("frobenius-euler basis needs a parameter")
-            param = _exact(param)
-            if param == 1:
-                raise ValueError("Frobenius-Euler parameter must differ from 1")
-        elif param is not None:
-            raise ValueError(f"{kind.value} basis takes no parameter")
         return super().__new__(cls, kind, order, param)
 
     @classmethod

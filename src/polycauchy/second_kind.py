@@ -28,15 +28,15 @@ polynomials, read at a point, and the addition formula's weights are int
 products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
-polynomial by the Sheffer identity (Eq. (34) at x = 0, ``memo.sheffer_rows``),
+polynomial by the Sheffer identity (Eq. (34) at x = 0, ``sheffer_rows``),
 C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, summed by Horner's scheme in
 the falling basis, Q <- w_j + (x - j) Q, so it never reads the Stirling
 table.
 
-Closed-route values are memoized per (n, k).  The oracle keeps grown rows
-per k (see ``memo``): degree n is read from the row of order
-``grown_order(n)``, built from one series of that order, and equals the
-value built from a fresh series of order n+1.  The oracle numbers are the
+Closed-route values are memoized per (n, k).  The oracle is a Sheffer
+family whose grown rows sit in the row memo of ``sequences``: degree n is
+read from the row of order ``grown_order(n)``, and equals the value built
+from a fresh series of order n+1.  The oracle numbers are the
 oracle polynomials at x = 0.  The caches are invisible to results.
 """
 
@@ -48,7 +48,6 @@ from functools import lru_cache
 from math import comb, factorial, lcm, perm
 from typing import NamedTuple
 
-from .memo import grown_order, sheffer_rows
 from .poly import (
     Basis,
     BasisKind,
@@ -62,10 +61,13 @@ from .poly import (
     linear_combination,
 )
 from .sequences import (
+    _grown_rows,
+    _Sheffer,
     bernoulli2nd_convolution,
     bernoulli_high_order_poly,
     binom,
     frobenius_euler_poly,
+    grown_order,
     lif_series,
     narumi_poly,
     stirling1,
@@ -105,6 +107,11 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def _refuse_negative(n: int) -> None:
+    if n < 0:
+        raise ValueError("sequence index must be non-negative")
+
+
 # ---------------------------------------------------------------------------
 # Generating-function route
 
@@ -113,14 +120,12 @@ def gf_number_series(k: int, order: int) -> TruncatedSeries:
     return lif_series(k, order).compose(-log1p_series(order))
 
 
-@lru_cache(maxsize=None)
-def _oracle_rows(k: int, order: int) -> tuple[Polynomial, ...]:
-    return sheffer_rows(gf_number_series(k, order), falling=True)
+_ORACLE = _Sheffer(gf_number_series, falling=True)
 
 
 def poly_oracle(n: int, k: int) -> Polynomial:
     """C_n^(k)(x) read off the generating function."""
-    return _oracle_rows(k, grown_order(n))[n]
+    return _grown_rows(_ORACLE, (k,), grown_order(n))[n]
 
 
 def number_oracle(n: int, k: int) -> Fraction:
@@ -138,10 +143,8 @@ def _stirling_sums(n: int, k: int, c: int, width: int) -> Polynomial:
     The sums are the numerators over one common denominator: for k >= 0
     each 1/d^k is (L/d)^k / L^k with L = lcm(c..n+c), and for k < 0 it is
     the integer d^|k|.  Each power is computed once, for the offset
-    d - c = m - j it serves.  A negative degree is refused, as the
-    generating-function route refuses it."""
-    if n < 0:
-        raise ValueError("sequence index must be non-negative")
+    d - c = m - j it serves.  A negative degree is refused."""
+    _refuse_negative(n)
     row = [stirling1(n, m) for m in range(n + 1)]
     base = lcm(*range(c, n + c + 1))
     den = base**k if k >= 0 else 1
@@ -212,6 +215,7 @@ def addition_rhs(n: int, k: int, y: Fraction | int) -> Polynomial:
 
     With y = p/q, (y)_i = prod_{t<i} (p - tq) / q^i: one running integer
     product gives every numerator."""
+    _refuse_negative(n)
     y = _exact(y)
     p, q = y.numerator, y.denominator
     falling = [1]
@@ -367,8 +371,8 @@ def connection_to_bernoulli(
 
     with w_{a,r} the ``bernoulli2nd_power_weight`` of the chosen route.
     """
-    if r < 0:
-        raise ValueError("basis order must be non-negative")
+    basis = Basis.higher_order_bernoulli(r)
+    _refuse_negative(n)
     entries = []
     for m in range(n + 1):
         total = Fraction(0)
@@ -385,7 +389,7 @@ def connection_to_bernoulli(
                     * number_closed(n - m - l - a, k)
                 )
         entries.append(total)
-    return ConnectionMatrix(n, k, Basis.higher_order_bernoulli(r), tuple(entries))
+    return ConnectionMatrix(n, k, basis, tuple(entries))
 
 
 def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> ConnectionMatrix:
@@ -408,6 +412,7 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
     over L q^r.
     """
     basis = Basis.frobenius_euler(r, lam)
+    _refuse_negative(n)
     step = 1 / (1 - basis.param)
     p, q = step.numerator, step.denominator
     weights = [binom(r, a) * p**a * q ** (r - a) for a in range(r + 1)]
@@ -431,6 +436,7 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
 
 def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
     """Expansion in the falling-factorial basis: C_{n,m} = C(n,m) C_{n-m}^(k)."""
+    _refuse_negative(n)
     # A list, not a generator: tuple(generator) leaves one tuple per call on
     # CPython's tuple free list, and this row is on the warm query path.
     entries = tuple([binom(n, m) * number_closed(n - m, k) for m in range(n + 1)])

@@ -1,13 +1,13 @@
 """Classical sequences: Stirling numbers of the first kind, the
 polylog-factorial series, and the Bernoulli-second-kind, higher-order
-Bernoulli, Frobenius-Euler and Narumi polynomial families.
+Bernoulli, Frobenius-Euler and Narumi polynomial families, with the one memo
+of grown rows that every Sheffer family reads.
 
 Stirling numbers and polylog-factorial coefficients come from closed forms
 (the defining recurrence and the coefficient formula); every named polynomial
 family is a Sheffer sequence built from the numbers of its generating
-function (see ``memo.sheffer_rows``).  The two computation routes stay
-independent so they can be held against each other by the verification
-suite.
+function.  The two computation routes stay independent so they can be held
+against each other by the verification suite.
 
 Generating functions, with the degree-n member equal to n! times the t^n
 coefficient, as amplitude series times (1+t)^x or e^(xt):
@@ -17,18 +17,23 @@ coefficient, as amplitude series times (1+t)^x or e^(xt):
     bernoulli_high_order_poly (t/(e^t - 1))^alpha * e^(xt),  alpha in Z
     frobenius_euler_poly      ((1-lambda)/(e^t - lambda))^r * e^(xt),  lambda != 1
 
-The numbers a_m are m! times the t^m coefficients of the amplitude series,
-and the degree-n member is sum_j C(n,j) a_(n-j) kappa_j(x), with kappa_j the
-falling factorial (x)_j for (1+t)^x, summed by Horner's scheme in the falling
-basis with no Stirling number, and the power x^j for e^(xt).
+Each family, and the generating-function route of ``second_kind``, is
+declared once, as a ``_Sheffer`` pair: the builder of its amplitude series
+and whether that series multiplies (1+t)^x.  ``sheffer_rows`` builds the
+members of degree 0..N from one amplitude series of order N (S. Roman,
+*The Umbral Calculus*, ch. 2).
 
-Each family is memoized in grown rows (see ``memo``): one cached row builder
-per family, keyed by its parameters (alpha, (r, lambda) or a) and an order N,
-builds the members of degree 0..N from one amplitude series of order N.  A
-degree n is read from the row of order ``grown_order(n)``, the least power of
-two at or above n, so an ascending table 0..n costs about one series of order
-at most 2n, not one series per degree.  The Bernoulli numbers of the second
-kind are the polynomials at x = 0.
+Every memo in the package is an unbounded ``functools.lru_cache``, apart from
+the capped Stirling table.  A cache stores a finished value, so a reader
+never sees a partial row; concurrent misses on one key may build the value
+twice, which repeats work and changes nothing.  The rows of every family sit
+in one memo, ``_grown_rows``, keyed by the family, its parameters and an
+order N.  Truncation modulo t^(N+1) is a ring homomorphism, so a series of
+order N gives each P_n exactly as a fresh one of order n+1 does.  Degree n
+is read from the row of order ``grown_order(n)``, the least power of two at
+or above n, so an ascending scan 0..n builds rows of orders 0, 1, 2, 4, ...,
+which together cost about one build at the last order.  The Bernoulli
+numbers of the second kind are the polynomials at x = 0.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .memo import grown_order, sheffer_rows
-from .poly import Polynomial, _exact, _integer_numerators
+from .poly import Polynomial, _frobenius_euler_lambda, _from_numerators, _integer_numerators
 from .series import TruncatedSeries, exp_series, log1p_series
 
 __all__ = [
@@ -153,21 +157,59 @@ def t_over_log1p_series(order: int) -> TruncatedSeries:
     return _log1p_over_t(order).invert()
 
 
-@lru_cache(maxsize=None)
-def _high_order_rows(alpha: int, order: int) -> tuple[Polynomial, ...]:
-    # (e^t - 1)/t is unit-constant, so any integer power of it exists.
-    expm1_over_t = (exp_series(order + 1) - 1).divided_by_t()
-    return sheffer_rows(expm1_over_t ** (-alpha), falling=False)
+def grown_order(n: int) -> int:
+    """The order of the grown row holding P_n: 0, 1, or the least power of
+    two at or above n."""
+    if n < 0:
+        raise ValueError("sequence index must be non-negative")
+    return n if n < 2 else 1 << (n - 1).bit_length()
+
+
+def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial, ...]:
+    """(P_0, ..., P_N) for the amplitude series A(t) of order N:
+    P_n(x) = sum_j w_j kappa_j(x), with w_j = C(n,j) a_(n-j) and
+    a_m = m! [t^m] A(t), read as m! nums[m] over the series' denominator,
+    which becomes each row's own, so no Fraction is built.
+
+    For e^(xt) kappa_j is x^j, and the weights are the row's coefficients.
+    For (1+t)^x (``falling``) kappa_j is (x)_j, summed by Horner's scheme
+    Q <- w_j + (x - j) Q for j = n..0, with no Stirling number."""
+    numbers = [factorial(m) * v for m, v in enumerate(amplitude.nums)]
+    den = amplitude.den
+    rows = []
+    for n in range(len(numbers)):
+        weights = [comb(n, j) * numbers[n - j] for j in range(n + 1)]
+        if falling:
+            acc: list[int] = []
+            for j in range(n, -1, -1):
+                acc = [a - j * b for a, b in zip([0] + acc, acc + [0])]
+                acc[0] += weights[j]
+            weights = acc
+        rows.append(_from_numerators(weights, den))
+    return tuple(rows)
+
+
+class _Sheffer(NamedTuple):
+    """A Sheffer family: ``amplitude(*params, order)`` is its amplitude
+    series, and ``falling`` picks kappa_j = (x)_j, for (1+t)^x, over x^j."""
+
+    amplitude: Callable[..., TruncatedSeries]
+    falling: bool
 
 
 @lru_cache(maxsize=None)
-def _frobenius_euler_rows(r: int, lam: Fraction, order: int) -> tuple[Polynomial, ...]:
-    return sheffer_rows(((exp_series(order) - lam).invert() * (1 - lam)) ** r, falling=False)
+def _grown_rows(family: _Sheffer, params: tuple, order: int) -> tuple[Polynomial, ...]:
+    return sheffer_rows(family.amplitude(*params, order), family.falling)
 
 
-@lru_cache(maxsize=None)
-def _narumi_rows(a: int, order: int) -> tuple[Polynomial, ...]:
-    return sheffer_rows(_log1p_over_t(order) ** a, falling=True)
+# (e^t - 1)/t and log(1+t)/t are unit-constant, so any integer power exists.
+_HIGH_ORDER_BERNOULLI = _Sheffer(
+    lambda alpha, order: (exp_series(order + 1) - 1).divided_by_t() ** (-alpha), falling=False
+)
+_FROBENIUS_EULER = _Sheffer(
+    lambda r, lam, order: ((exp_series(order) - lam).invert() * (1 - lam)) ** r, falling=False
+)
+_NARUMI = _Sheffer(lambda a, order: _log1p_over_t(order) ** a, falling=True)
 
 
 def bernoulli_2nd_poly(n: int) -> Polynomial:
@@ -183,23 +225,19 @@ def bernoulli_2nd_number(n: int) -> Fraction:
 
 def bernoulli_high_order_poly(n: int, alpha: int) -> Polynomial:
     """Higher-order Bernoulli polynomial of degree n and integer order alpha."""
-    return _high_order_rows(alpha, grown_order(n))[n]
+    return _grown_rows(_HIGH_ORDER_BERNOULLI, (alpha,), grown_order(n))[n]
 
 
 def frobenius_euler_poly(n: int, r: int, lam: Fraction | int) -> Polynomial:
     """Frobenius-Euler polynomial of degree n, order r >= 0 and parameter
     lambda != 1; lambda = -1 gives the Euler polynomials."""
-    lam = _exact(lam)
-    if lam == 1:
-        raise ValueError("Frobenius-Euler parameter must differ from 1")
-    if r < 0:
-        raise ValueError("Frobenius-Euler order must be non-negative")
-    return _frobenius_euler_rows(r, lam, grown_order(n))[n]
+    lam = _frobenius_euler_lambda(r, lam)
+    return _grown_rows(_FROBENIUS_EULER, (r, lam), grown_order(n))[n]
 
 
 def narumi_poly(n: int, a: int) -> Polynomial:
     """Narumi polynomial of degree n and integer order a (either sign)."""
-    return _narumi_rows(a, grown_order(n))[n]
+    return _grown_rows(_NARUMI, (a,), grown_order(n))[n]
 
 
 def bernoulli2nd_convolution(r: int, a: int) -> Fraction:

@@ -4,7 +4,7 @@ A series holds the coefficients of t^0..t^N for a fixed truncation order N;
 arithmetic is exact through t^N and anything beyond is discarded.  A
 generating function that carries x is never a series here: every polynomial
 family is built from the numbers of its scalar amplitude series (see
-``memo.sheffer_rows``).
+``sequences.sheffer_rows``).
 
 A series is stored in FLINT's ``fmpq_poly`` layout: integer numerators
 ``nums`` over one positive denominator ``den``, with no common factor, so

@@ -10,7 +10,7 @@ import pytest
 
 import polycauchy
 
-LAYERS = ("exact", "memo", "poly", "series", "sequences", "second_kind", "verify", "cli")
+LAYERS = ("exact", "poly", "series", "sequences", "second_kind", "verify", "cli")
 MODULES = [polycauchy] + [importlib.import_module(f"polycauchy.{name}") for name in LAYERS]
 REMOVED = (
     "BasisExpansion",

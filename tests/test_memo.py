@@ -1,6 +1,6 @@
-"""Grown-row memos: every value equals a fresh build at order n+1, in any
-access order and under concurrent misses; rows are keyed by power-of-two
-order."""
+"""The grown-row memo: every value equals a fresh build at order n+1, in any
+access order, with families interleaved, and under concurrent misses; rows
+are keyed by family, parameters and power-of-two order."""
 
 import importlib
 import json
@@ -12,7 +12,7 @@ from functools import cache
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polycauchy
@@ -20,8 +20,8 @@ from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
 from polycauchy.cli import main
 from polycauchy.exact import parse_rational
-from polycauchy.memo import grown_order
 from polycauchy.poly import Polynomial
+from polycauchy.sequences import grown_order
 from polycauchy.series import TruncatedSeries, exp_series, log1p_series
 
 
@@ -74,46 +74,61 @@ def values(family, value, n):
     return tuple(value(x) for x in range(n + 1))
 
 
-# family -> (lookup, row memo it reads, parameters to try).  The number
-# lookups read the polynomial rows at x = 0; ``fresh`` builds them from the
-# number-level series, so the match checks that derivation.  The Bernoulli
-# polynomials of the second kind are the Narumi polynomials of order -1.
+# family -> (lookup, parameters to try).  Every family reads the one row
+# memo, ``ROWS``.  The number lookups read the polynomial rows at x = 0;
+# ``fresh`` builds them from the number-level series, so the match checks
+# that derivation.  The Bernoulli polynomials of the second kind are the
+# Narumi polynomials of order -1.  Parameter 2 is shared by four families,
+# so a row memo keyed without the family would hand one family's row to
+# another.
+ROWS = seq._grown_rows
 FAMILIES = {
-    "poly_oracle": (sk.poly_oracle, sk._oracle_rows, (-2, 0, 1, 3)),
-    "number_oracle": (sk.number_oracle, sk._oracle_rows, (-1, 2)),
-    "bernoulli_2nd_poly": (lambda n, _: seq.bernoulli_2nd_poly(n), seq._narumi_rows, (None,)),
-    "bernoulli_2nd_number": (lambda n, _: seq.bernoulli_2nd_number(n), seq._narumi_rows,
-                             (None,)),
-    "bernoulli_high_order_poly": (seq.bernoulli_high_order_poly, seq._high_order_rows,
-                                  (-2, 0, 3)),
+    "poly_oracle": (sk.poly_oracle, (-2, 0, 1, 2, 3)),
+    "number_oracle": (sk.number_oracle, (-1, 2)),
+    "bernoulli_2nd_poly": (lambda n, _: seq.bernoulli_2nd_poly(n), (None,)),
+    "bernoulli_2nd_number": (lambda n, _: seq.bernoulli_2nd_number(n), (None,)),
+    "bernoulli_high_order_poly": (seq.bernoulli_high_order_poly, (-2, 0, 2, 3)),
     "frobenius_euler_poly": (lambda n, p: seq.frobenius_euler_poly(n, *p),
-                             seq._frobenius_euler_rows, ((1, F(-1)), (2, F(1, 2)))),
-    "narumi_poly": (seq.narumi_poly, seq._narumi_rows, (-2, 1)),
+                             ((1, F(-1)), (2, F(1, 2)))),
+    "narumi_poly": (seq.narumi_poly, (-2, 1, 2)),
 }
 N_MAX = 9
 
 
-def _scan(family, requests):
-    """Query (param, n) pairs in the given order, starting from an empty memo."""
-    lookup, rows, _ = FAMILIES[family]
-    rows.cache_clear()
-    for param, n in requests:
+def _scan(requests):
+    """Query (family, param, n) triples in the given order, starting from an
+    empty memo."""
+    ROWS.cache_clear()
+    for family, param, n in requests:
+        lookup, _ = FAMILIES[family]
         assert values(family, lookup(n, param), n) == fresh(family, param, n), (family, param, n)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_ascending_and_descending_scans_match_fresh_builds(family):
-    params = FAMILIES[family][2]
-    _scan(family, [(p, n) for p in params for n in range(N_MAX + 1)])
-    _scan(family, [(p, n) for p in params for n in range(N_MAX, -1, -1)])
+    params = FAMILIES[family][1]
+    _scan([(family, p, n) for p in params for n in range(N_MAX + 1)])
+    _scan([(family, p, n) for p in params for n in range(N_MAX, -1, -1)])
+
+
+REQUESTS = st.lists(
+    st.sampled_from(sorted(FAMILIES)).flatmap(
+        lambda family: st.tuples(
+            st.just(family), st.sampled_from(FAMILIES[family][1]), st.integers(0, N_MAX)
+        )
+    ),
+    min_size=1,
+    max_size=16,
+)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_any_access_order_matches_fresh_builds(data):
-    family = data.draw(st.sampled_from(sorted(FAMILIES)))
-    request = st.tuples(st.sampled_from(FAMILIES[family][2]), st.integers(0, N_MAX))
-    _scan(family, data.draw(st.lists(request, min_size=1, max_size=16)))
+@given(REQUESTS)
+@example([("narumi_poly", 2, 3), ("bernoulli_high_order_poly", 2, 3), ("poly_oracle", 2, 4),
+          ("frobenius_euler_poly", (2, F(1, 2)), 3), ("number_oracle", 2, 3)])
+def test_any_access_order_matches_fresh_builds(requests):
+    # Families interleave in one scan against the one memo.
+    _scan(requests)
 
 
 @pytest.mark.parametrize(
@@ -124,15 +139,15 @@ def test_grown_order_is_the_next_power_of_two(n, order):
 
 
 def test_ascending_scan_builds_one_row_per_power_of_two():
-    seq._narumi_rows.cache_clear()
+    ROWS.cache_clear()
     for n in range(31):
         assert values("narumi_poly", seq.narumi_poly(n, 2), n) == fresh("narumi_poly", 2, n)
-    info = seq._narumi_rows.cache_info()
+    info = ROWS.cache_info()
     # orders 0, 1, 2, 4, 8, 16, 32
     assert (info.misses, info.hits, info.currsize) == (7, 24, 7)
     assert values("narumi_poly", seq.narumi_poly(40, 2), 40) == fresh("narumi_poly", 2, 40)
-    assert seq._narumi_rows.cache_info().misses == 8
-    assert len(seq._narumi_rows(2, 64)) == 65
+    assert ROWS.cache_info().misses == 8
+    assert len(ROWS(seq._NARUMI, (2,), 64)) == 65
 
 
 def test_negative_index_rejected():
@@ -144,12 +159,12 @@ def test_negative_index_rejected():
         grown_order(-1)
 
 
-# Every memo in the package, by module: the row memos live in the layers
+# Every memo in the package, by module: the row memo lives in a layer
 # whose ``lru_cache`` statistics the benchmark tracer reads.
 MEMOS = {
     "polycauchy.poly": {"falling_factorial_poly"},
-    "polycauchy.sequences": {"_high_order_rows", "_frobenius_euler_rows", "_narumi_rows"},
-    "polycauchy.second_kind": {"_oracle_rows", "number_closed", "poly_closed"},
+    "polycauchy.sequences": {"_grown_rows"},
+    "polycauchy.second_kind": {"number_closed", "poly_closed"},
 }
 ROW_MEMO_LAYERS = ("polycauchy.sequences", "polycauchy.second_kind")
 
@@ -162,15 +177,14 @@ def test_memo_inventory():
             if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__:
                 found.setdefault(module.__name__, set()).add(name)
     assert found == MEMOS
-    assert sum(map(len, found.values())) == 7
-    for _, rows, _ in FAMILIES.values():
-        assert rows.__module__ in ROW_MEMO_LAYERS
+    assert sum(map(len, found.values())) == 4
+    assert ROWS.__module__ in ROW_MEMO_LAYERS
 
 
 def test_concurrent_misses_publish_equal_rows():
-    lookup, rows, _ = FAMILIES["narumi_poly"]
+    lookup, _ = FAMILIES["narumi_poly"]
     a = 3
-    rows.cache_clear()
+    ROWS.cache_clear()
     barrier = threading.Barrier(8)
     results = {}
 
@@ -193,14 +207,14 @@ def test_concurrent_misses_publish_equal_rows():
         i: fresh("narumi_poly", a, 6 + i) for i in range(8)
     }
     # Degrees 6..13 read the rows of orders 8 and 16, and the memo holds those.
-    held = rows.cache_info()
+    held = ROWS.cache_info()
     assert held.currsize == 2
     for order in (8, 16):
-        row = rows(a, order)
+        row = ROWS(seq._NARUMI, (a,), order)
         assert len(row) == order + 1
         for n, p in enumerate(row):
             assert values("narumi_poly", p, n) == fresh("narumi_poly", a, n)
-    assert rows.cache_info().misses == held.misses
+    assert ROWS.cache_info().misses == held.misses
 
 
 # Degrees at, just below and just past each rebuild of an ascending scan
@@ -219,8 +233,8 @@ GEN_CASES = [
 def test_gen_rows_match_fresh_builds_to_n30(args, family, param, capsys):
     # polycauchy2-poly rows come from the closed route; its grown rows are
     # the oracle's, read here after the table is written.
-    lookup, rows, _ = FAMILIES[family]
-    rows.cache_clear()
+    lookup, _ = FAMILIES[family]
+    ROWS.cache_clear()
     assert main(["gen", *args, "--n-max", "30", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [row["n"] for row in rows] == list(range(31))

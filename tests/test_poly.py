@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy.exact import format_rational
-from polycauchy.memo import sheffer_rows
+from polycauchy.sequences import sheffer_rows
 from polycauchy.poly import (
     Basis,
     BasisKind,

@@ -16,6 +16,7 @@ from polycauchy.sequences import (
     DEFAULT_STIRLING_LIMIT,
     Stirling1Table,
     TableLimitError,
+    _grown_rows,
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
     binom,
@@ -48,6 +49,26 @@ def test_number_degree_zero_is_one(k):
 def test_negative_index_is_refused_by_both_routes(route):
     with pytest.raises(ValueError, match="sequence index must be non-negative"):
         route(-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: sk.connection_to_falling(n, 2),
+        lambda n: sk.connection_to_bernoulli(n, 1, 1),
+        lambda n: sk.connection_to_frobenius(n, 1, 1, 2),
+        lambda n: sk.connection(n, 1, Basis.falling_factorial()),
+        lambda n: sk.connection(n, 1, Basis.higher_order_bernoulli(2)),
+        lambda n: sk.connection(n, 1, Basis.frobenius_euler(1, F(-1))),
+        lambda n: sk.addition_rhs(n, 1, 2),
+    ],
+    ids=["falling", "bernoulli", "frobenius", "connection-falling", "connection-bernoulli",
+         "connection-frobenius", "addition_rhs"],
+)
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_degree_is_refused(call, n):
+    with pytest.raises(ValueError, match="sequence index must be non-negative"):
+        call(n)
 
 
 def test_number_golden_values():
@@ -107,7 +128,7 @@ def test_oracle_never_reads_the_stirling_table(monkeypatch):
     def refuse(self, n, l):
         raise AssertionError(f"the oracle read S1({n}, {l})")
 
-    sk._oracle_rows.cache_clear()
+    _grown_rows.cache_clear()
     falling_factorial_poly.cache_clear()
     monkeypatch.setattr(Stirling1Table, "value", refuse)
     oracle = {(n, k): sk.poly_oracle(n, k) for k in (-2, 0, 3) for n in range(17)}
