@@ -16,14 +16,7 @@ package, or running ``gen``, ``expand`` or ``series``, never loads it.
 """
 
 from .exact import Rational, format_rational, parse_rational
-from .poly import (
-    Basis,
-    BasisKind,
-    Polynomial,
-    X,
-    falling_factorial_poly,
-    falling_factorial_value,
-)
+from .poly import Basis, BasisKind, Polynomial, X, falling_factorial_value
 from .second_kind import (
     ConnectionMatrix,
     WeightRoute,
@@ -39,6 +32,7 @@ from .sequences import (
     Stirling1Table,
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
+    falling_factorial_poly,
     frobenius_euler_poly,
     lif_series,
     narumi_poly,

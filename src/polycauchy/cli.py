@@ -366,7 +366,7 @@ def _cmd_series(args) -> int:
                 raise UsageError("bernoulli2-gf takes no parameter")
             gf = seq.t_over_log1p_series(order)
         elif name == "narumi-gf":
-            gf = seq.t_over_log1p_series(order) ** (-int(param))
+            gf = seq._NARUMI.amplitude(int(param), order)
         else:
             raise UsageError(
                 f"unknown generating function {args.which!r}; "

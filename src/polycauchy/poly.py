@@ -21,9 +21,9 @@ polynomials, or of two series, is one ``_convolve_ints``.  ``shift`` runs
 Horner's scheme on the same integer numerators.
 
 The module also holds the basis tags (``Basis``) of the connection-coefficient
-expansions and the triangular solve against a monic basis.  The expansion rows
-themselves are ``second_kind.ConnectionMatrix``; its ``reconstruct`` is the one
-way to reassemble a polynomial from them.
+expansions and the triangular solve against a monic basis; the basis members,
+falling factorials included, are rows of the Sheffer families in ``sequences``,
+and the expansion rows are ``second_kind.ConnectionMatrix``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -41,7 +40,6 @@ __all__ = [
     "linear_combination",
     "BasisKind",
     "Basis",
-    "falling_factorial_poly",
     "falling_factorial_value",
     "expand_in_monic_basis",
 ]
@@ -278,18 +276,6 @@ def _combine(weights: tuple[int, int], p: Polynomial, other: object) -> Polynomi
 X = Polynomial((0, 1))
 
 
-@lru_cache(maxsize=None)
-def falling_factorial_poly(m: int) -> Polynomial:
-    """The falling factorial x(x-1)...(x-m+1); the empty product is 1.
-    A loop multiplies integer coefficients by (x - j), so no call recurses."""
-    if m < 0:
-        raise ValueError("falling factorial degree must be non-negative")
-    coeffs = [1]
-    for j in range(m):
-        coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return Polynomial(coeffs)
-
-
 def falling_factorial_value(point: Fraction | int, m: int) -> Fraction:
     """Value of the falling factorial of length m at ``point``."""
     if m < 0:
@@ -321,7 +307,7 @@ def _frobenius_euler_lambda(order: int | None, lam: Fraction | int) -> Fraction:
 class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
     """A polynomial basis tag; the parametric bases carry their parameters.
 
-    ``order`` is the r of the higher-order-Bernoulli / Frobenius-Euler
+    ``order`` is the integer r of the higher-order-Bernoulli / Frobenius-Euler
     families; ``param`` is the Frobenius-Euler lambda, which must differ
     from 1 for the generating function to exist.  Immutable and hashable;
     fields are checked, and ``param`` made exact, on construction.
@@ -332,6 +318,8 @@ class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
     def __new__(
         cls, kind: BasisKind, order: int | None = None, param: Fraction | None = None
     ) -> Basis:
+        if order is not None and not isinstance(order, int):
+            raise TypeError(f"basis order must be an int; got {order!r}")
         if kind is BasisKind.FROBENIUS_EULER:
             if param is None:
                 raise ValueError("frobenius-euler basis needs a parameter")
@@ -344,6 +332,11 @@ class Basis(namedtuple("Basis", "kind order param", defaults=(None, None))):
         elif order is not None:
             raise ValueError(f"{kind.value} basis takes no order")
         return super().__new__(cls, kind, order, param)
+
+    @property
+    def params(self) -> tuple:
+        """The parameters of the basis family: (), (order,) or (order, param)."""
+        return tuple([v for v in (self.order, self.param) if v is not None])
 
     @classmethod
     def falling_factorial(cls) -> Basis:

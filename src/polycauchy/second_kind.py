@@ -33,11 +33,11 @@ C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, summed by Horner's scheme in
 the falling basis, Q <- w_j + (x - j) Q, so it never reads the Stirling
 table.
 
-Closed-route values are memoized per (n, k).  The oracle is a Sheffer
-family whose grown rows sit in the row memo of ``sequences``: degree n is
-read from the row of order ``grown_order(n)``, and equals the value built
-from a fresh series of order n+1.  The oracle numbers are the
-oracle polynomials at x = 0.  The caches are invisible to results.
+Closed-route values are memoized per (n, k).  The oracle, like each basis of
+the expansions, is a Sheffer family whose grown rows sit in the row memo of
+``sequences``: degree n is read from the row of order ``grown_order(n)``, and
+equals the value built from a fresh series of order n+1.  The oracle numbers
+are the oracle polynomials at x = 0.  The caches are invisible to results.
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ from .poly import (
     _from_numerators,
     _integer_numerators,
     expand_in_monic_basis,
-    falling_factorial_poly,
     linear_combination,
 )
 from .sequences import (
+    _FALLING,
+    _FROBENIUS_EULER,
+    _HIGH_ORDER_BERNOULLI,
     _grown_rows,
     _Sheffer,
     bernoulli2nd_convolution,
     bernoulli_high_order_poly,
     binom,
-    frobenius_euler_poly,
     grown_order,
     lif_series,
     narumi_poly,
@@ -353,12 +354,9 @@ class ConnectionMatrix(NamedTuple):
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
-    """The degree-m polynomial of the given basis."""
-    if basis.kind is BasisKind.FALLING_FACTORIAL:
-        return falling_factorial_poly(m)
-    if basis.kind is BasisKind.HIGHER_ORDER_BERNOULLI:
-        return bernoulli_high_order_poly(m, basis.order)
-    return frobenius_euler_poly(m, basis.order, basis.param)
+    """The degree-m polynomial of the given basis: a row of its Sheffer family."""
+    family, _ = _BASES[basis.kind]
+    return _grown_rows(family, basis.params, grown_order(m))[m]
 
 
 def connection_to_bernoulli(
@@ -443,13 +441,18 @@ def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
     return ConnectionMatrix(n, k, Basis.falling_factorial(), entries)
 
 
+# Each basis kind: its Sheffer family, whose rows are the basis members, and
+# its closed connection row, which takes the basis parameters after n and k.
+_BASES = {
+    BasisKind.FALLING_FACTORIAL: (_FALLING, connection_to_falling),
+    BasisKind.HIGHER_ORDER_BERNOULLI: (_HIGH_ORDER_BERNOULLI, connection_to_bernoulli),
+    BasisKind.FROBENIUS_EULER: (_FROBENIUS_EULER, connection_to_frobenius),
+}
+
+
 def connection(n: int, k: int, basis: Basis) -> ConnectionMatrix:
     """The connection row of C_n^(k)(x) in ``basis``, by its closed formula."""
-    if basis.kind is BasisKind.FALLING_FACTORIAL:
-        return connection_to_falling(n, k)
-    if basis.kind is BasisKind.HIGHER_ORDER_BERNOULLI:
-        return connection_to_bernoulli(n, k, basis.order)
-    return connection_to_frobenius(n, k, basis.order, basis.param)
+    return _BASES[basis.kind][1](n, k, *basis.params)
 
 
 def connection_by_triangular_solve(n: int, k: int, basis: Basis) -> ConnectionMatrix:

@@ -1,7 +1,7 @@
 """Classical sequences: Stirling numbers of the first kind, the
-polylog-factorial series, and the Bernoulli-second-kind, higher-order
-Bernoulli, Frobenius-Euler and Narumi polynomial families, with the one memo
-of grown rows that every Sheffer family reads.
+polylog-factorial series, the falling factorials and the Bernoulli-second-kind,
+higher-order Bernoulli, Frobenius-Euler and Narumi polynomial families, with
+the one memo of grown rows that every Sheffer family reads.
 
 Stirling numbers and polylog-factorial coefficients come from closed forms
 (the defining recurrence and the coefficient formula); every named polynomial
@@ -12,6 +12,7 @@ against each other by the verification suite.
 Generating functions, with the degree-n member equal to n! times the t^n
 coefficient, as amplitude series times (1+t)^x or e^(xt):
 
+    falling_factorial_poly    1 * (1+t)^x
     narumi_poly               (t/log(1+t))^(-a) * (1+t)^x,  a in Z
     bernoulli_2nd_poly        narumi_poly at a = -1: (t/log(1+t)) * (1+t)^x
     bernoulli_high_order_poly (t/(e^t - 1))^alpha * e^(xt),  alpha in Z
@@ -45,7 +46,7 @@ from math import comb, factorial
 from typing import Callable, NamedTuple, Sequence
 
 from .poly import Polynomial, _frobenius_euler_lambda, _from_numerators, _integer_numerators
-from .series import TruncatedSeries, exp_series, log1p_series
+from .series import TruncatedSeries, constant_series, exp_series, log1p_series
 
 __all__ = [
     "DEFAULT_STIRLING_LIMIT",
@@ -55,6 +56,7 @@ __all__ = [
     "binom",
     "multinomial",
     "lif_series",
+    "falling_factorial_poly",
     "t_over_log1p_series",
     "bernoulli_2nd_poly",
     "bernoulli_2nd_number",
@@ -202,6 +204,7 @@ def _grown_rows(family: _Sheffer, params: tuple, order: int) -> tuple[Polynomial
     return sheffer_rows(family.amplitude(*params, order), family.falling)
 
 
+_FALLING = _Sheffer(lambda order: constant_series(1, order), falling=True)
 # (e^t - 1)/t and log(1+t)/t are unit-constant, so any integer power exists.
 _HIGH_ORDER_BERNOULLI = _Sheffer(
     lambda alpha, order: (exp_series(order + 1) - 1).divided_by_t() ** (-alpha), falling=False
@@ -210,6 +213,11 @@ _FROBENIUS_EULER = _Sheffer(
     lambda r, lam, order: ((exp_series(order) - lam).invert() * (1 - lam)) ** r, falling=False
 )
 _NARUMI = _Sheffer(lambda a, order: _log1p_over_t(order) ** a, falling=True)
+
+
+def falling_factorial_poly(m: int) -> Polynomial:
+    """The falling factorial x(x-1)...(x-m+1); the empty product is 1."""
+    return _grown_rows(_FALLING, (), grown_order(m))[m]
 
 
 def bernoulli_2nd_poly(n: int) -> Polynomial:

@@ -134,6 +134,8 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> TruncatedSeries:
+        if not isinstance(exponent, int):
+            raise TypeError(f"series powers take an int exponent; got {exponent!r}")
         if exponent < 0:
             return self.invert() ** (-exponent)
         result, square = constant_series(1, self.order), self

@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 from . import second_kind as sk
 from . import sequences as seq
 from .exact import format_rational
-from .poly import Polynomial, _exact, falling_factorial_poly
+from .poly import Polynomial, _exact
 from .series import InsufficientOrderError, TruncatedSeries, log1p_series
 
 __all__ = [
@@ -260,7 +260,7 @@ def _eval_k1_reduction(cfg: GridConfig):
 @_identity("k0-reduction", "C_n^(0)(x) = (x-1)_n", "Equation (3) at k = 0", ("n",))
 def _eval_k0_reduction(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
-        yield (n,), sk.poly_closed(n, 0), falling_factorial_poly(n).shift(-1)
+        yield (n,), sk.poly_closed(n, 0), seq.falling_factorial_poly(n).shift(-1)
 
 
 @_identity(
@@ -429,7 +429,7 @@ def _eval_thm7_basis(cfg: GridConfig):
 def _eval_stirling_eq6(cfg: GridConfig):
     for n in range(cfg.n_max + 1):
         lhs = Polynomial(seq.stirling1(n, l) for l in range(n + 1))
-        yield (n,), lhs, falling_factorial_poly(n)
+        yield (n,), lhs, seq.falling_factorial_poly(n)
 
 
 @_identity("stirling.eq7", "n! [t^n] (log(1+t))^m / m! = S1(n,m)", "Equation (7)", ("n", "m"))

@@ -19,7 +19,8 @@ import polycauchy
 from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
 from polycauchy.cli import main
-from polycauchy.poly import X, falling_factorial_poly
+from polycauchy.poly import X
+from polycauchy.sequences import falling_factorial_poly
 from polycauchy.series import exp_series
 from polycauchy.verify import GridConfig, catalog_ids, run_suite
 

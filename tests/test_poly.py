@@ -7,19 +7,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy.exact import format_rational
-from polycauchy.sequences import sheffer_rows
 from polycauchy.poly import (
     Basis,
     BasisKind,
     Polynomial,
     X,
     expand_in_monic_basis,
-    falling_factorial_poly,
     falling_factorial_value,
     linear_combination,
 )
 from polycauchy.second_kind import addition_rhs, connection_to_frobenius, poly_closed
-from polycauchy.sequences import frobenius_euler_poly, stirling1
+from polycauchy.sequences import (
+    _grown_rows,
+    bernoulli_high_order_poly,
+    falling_factorial_poly,
+    frobenius_euler_poly,
+    narumi_poly,
+    sheffer_rows,
+    stirling1,
+)
 from polycauchy.series import TruncatedSeries
 from polycauchy.verify import GridConfig
 
@@ -335,7 +341,7 @@ def test_falling_factorial_poly_does_not_recurse():
     frame = sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
-    falling_factorial_poly.cache_clear()
+    _grown_rows.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 50)
     try:
@@ -395,6 +401,18 @@ def test_basis_validation():
     with pytest.raises(ValueError, match="non-negative order"):
         Basis(BasisKind.FROBENIUS_EULER, param=2)
     assert type(Basis.frobenius_euler(1, 2).param) is F
+    # A non-integer order is refused on entry, not inside a row.
+    with pytest.raises(TypeError, match="basis order must be an int; got 1.5"):
+        Basis.higher_order_bernoulli(1.5)
+    with pytest.raises(TypeError, match="basis order must be an int; got 1.5"):
+        Basis.frobenius_euler(1.5, 2)
+    for family, args in [
+        (narumi_poly, (3, F(1, 2))),
+        (bernoulli_high_order_poly, (2, 1.5)),
+        (frobenius_euler_poly, (2, 1.5, 2)),
+    ]:
+        with pytest.raises(TypeError, match="int exponent"):
+            family(*args)
 
 
 def test_str_rendering():

@@ -9,7 +9,6 @@ from polycauchy.poly import (
     Basis,
     Polynomial,
     X,
-    falling_factorial_poly,
     falling_factorial_value,
 )
 from polycauchy.sequences import (
@@ -20,6 +19,7 @@ from polycauchy.sequences import (
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
     binom,
+    falling_factorial_poly,
     stirling1,
 )
 from polycauchy.verify import DEFAULT_Y_VALUES
@@ -123,13 +123,12 @@ def test_dual_path_equality(n, k):
 
 
 def test_oracle_never_reads_the_stirling_table(monkeypatch):
-    # The two routes are independent: the oracle's falling factorials come
-    # from their product recurrence, never from the Stirling table.
+    # The two routes are independent: the oracle sums its falling factorials
+    # by Horner's scheme in the falling basis, never from the Stirling table.
     def refuse(self, n, l):
         raise AssertionError(f"the oracle read S1({n}, {l})")
 
     _grown_rows.cache_clear()
-    falling_factorial_poly.cache_clear()
     monkeypatch.setattr(Stirling1Table, "value", refuse)
     oracle = {(n, k): sk.poly_oracle(n, k) for k in (-2, 0, 3) for n in range(17)}
     monkeypatch.undo()

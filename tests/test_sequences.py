@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from polycauchy.poly import Polynomial, X, falling_factorial_poly
+from polycauchy.poly import Polynomial, X
 from polycauchy.sequences import (
     Stirling1Table,
     TableLimitError,
@@ -14,6 +14,7 @@ from polycauchy.sequences import (
     bernoulli_2nd_poly,
     bernoulli_high_order_poly,
     binom,
+    falling_factorial_poly,
     frobenius_euler_poly,
     lif_series,
     multinomial,

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -309,6 +310,9 @@ def test_pow():
     assert series_of(1, 1)**-1 == series_of(1, -1)
     with pytest.raises(ValueError, match="not invertible"):
         series_of(0, 1) ** -1
+    for exponent in (F(1, 2), 1.5):
+        with pytest.raises(TypeError, match=re.escape(f"int exponent; got {exponent!r}")):
+            series_of(1, 1) ** exponent
 
 
 def test_coefficient_requires_sufficient_order():
