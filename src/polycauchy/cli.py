@@ -10,6 +10,11 @@ intact.
 
 Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
 block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
+Every output is streamed into the ``--output`` file or stdout in bounded
+batches, never rendered whole first: JSON as the chunks of the indented
+encoder joined into writes of about 64 KiB, CSV row by row, and text in one
+write.  A write error part-way through still exits 2, and may leave a
+partial ``--output`` file, as a failed single write could before.
 
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
@@ -26,13 +31,13 @@ and ``series --order`` share one cap, the Stirling table's
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
@@ -162,17 +167,6 @@ def _poly_strings(p: Polynomial) -> list[str]:
     return [format_rational(c) for c in p.coeffs]
 
 
-def _render_csv(columns: list[str], rows: list[dict]) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c, "")) for c in columns])
-    return buf.getvalue()
-
-
 def _csv_cell(value):
     if isinstance(value, list):
         return " ".join(str(v) for v in value)
@@ -190,22 +184,50 @@ def _render_text(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+# JSON chunks are joined into writes of at least this many characters (the
+# last write excepted), so an unbuffered stdout is not written chunk by chunk.
+_BATCH_CHARS = 1 << 16
+
+
+def _write_json(handle, payload: dict) -> None:
+    # json.dumps(payload, indent=2) is the join of these same chunks.
+    batch: list[str] = []
+    size = 0
+    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS:
+            handle.write("".join(batch))
+            batch.clear()
+            size = 0
+    batch.append("\n")
+    handle.write("".join(batch))
+
+
+def _write_csv(handle, columns: list[str], rows: list[dict]) -> None:
+    import csv
+
+    writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in rows)
+
+
 def _emit(args, command: str, params: dict, rows: list[dict], columns: list[str],
-          text: str | None = None, meta: dict | None = None) -> None:
-    if args.format == "json":
-        payload = {"command": command, "params": params, "rows": rows}
-        if meta is not None:
-            payload["meta"] = meta
-        rendered = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        rendered = _render_csv(columns, rows)
-    else:
-        rendered = (text if text is not None else _render_text(columns, rows)) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+          text: Callable[[], str] | None = None, meta: dict | None = None) -> None:
+    """Stream the report into the ``--output`` file or stdout.  ``text``
+    renders the text form in place of the table of ``rows``; it is called
+    only for ``--format text``."""
+    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with sink as handle:
+        if args.format == "json":
+            payload = {"command": command, "params": params, "rows": rows}
+            if meta is not None:
+                payload["meta"] = meta
+            _write_json(handle, payload)
+        elif args.format == "csv":
+            _write_csv(handle, columns, rows)
+        else:
+            handle.write((text() if text is not None else _render_text(columns, rows)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +360,7 @@ def _cmd_verify(args) -> int:
     }
     columns = ["identity", "params", "status", "lhs", "rhs"]
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
-    _emit(args, "verify", params, report.rows(), columns, text=report.to_text(), meta=meta)
+    _emit(args, "verify", params, report.rows(), columns, text=report.to_text, meta=meta)
     return 0 if report.failure_count == 0 else 1
 
 

@@ -348,15 +348,20 @@ class ConnectionMatrix(NamedTuple):
 
     def reconstruct(self) -> Polynomial:
         """Reassemble the polynomial the row claims to expand."""
-        return linear_combination(
-            self.entries, [basis_member(self.basis, m) for m in range(len(self.entries))]
-        )
+        n = len(self.entries) - 1
+        return linear_combination(self.entries, _grown_row(self.basis, n)[: n + 1])
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
     """The degree-m polynomial of the given basis: a row of its Sheffer family."""
+    return _grown_row(basis, m)[m]
+
+
+def _grown_row(basis: Basis, n: int) -> tuple[Polynomial, ...]:
+    """The grown row of the basis's Sheffer family that holds its members of
+    degree 0..n, read from the memo with one key."""
     family, _ = _BASES[basis.kind]
-    return _grown_rows(family, basis.params, grown_order(m))[m]
+    return _grown_rows(family, basis.params, grown_order(n))
 
 
 def connection_to_bernoulli(
@@ -458,7 +463,6 @@ def connection(n: int, k: int, basis: Basis) -> ConnectionMatrix:
 def connection_by_triangular_solve(n: int, k: int, basis: Basis) -> ConnectionMatrix:
     """Independent route to the same row: expand C_n^(k)(x) and the basis
     members in the monomial basis and back-substitute down the triangle."""
-    members = [basis_member(basis, m) for m in range(n + 1)]
-    entries = expand_in_monic_basis(poly_closed(n, k), members)
+    entries = expand_in_monic_basis(poly_closed(n, k), _grown_row(basis, n)[: n + 1])
     padded = entries + (Fraction(0),) * (n + 1 - len(entries))
     return ConnectionMatrix(n, k, basis, padded)

@@ -1,9 +1,15 @@
+import argparse
 import csv
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +424,109 @@ def test_json_schema_everywhere(capsys):
         payload = json.loads(out)
         assert {"command", "params", "rows"} <= set(payload)
         assert isinstance(payload["rows"], list)
+
+
+# ---------------------------------------------------------------------------
+# Streaming output
+
+STREAMED = [
+    ("verify", "--n-max", "3"),
+    ("gen", "polycauchy2-poly", "--k", "2", "--n-max", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", STREAMED, ids=lambda argv: argv[0])
+def test_json_report_is_the_indented_dump_on_both_sinks(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert main([*argv, "--format", "json", "--output", str(target)]) == code == 0
+    written = target.read_text(encoding="utf-8")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    # Only the timestamp in meta may differ between the two runs.
+    if "meta" in payload:
+        payload["meta"] = json.loads(written)["meta"]
+    assert written == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("argv", STREAMED, ids=lambda argv: argv[0])
+def test_stdout_and_output_file_hold_the_same_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "report.out"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert main([*argv, "--format", fmt, "--output", str(target)]) == code == 0
+    assert out and target.read_bytes() == out.encode("utf-8")
+
+
+class _CountingSink:
+    """A stdout stand-in that counts writes and, unless told to forget, keeps them."""
+
+    def __init__(self, keep: bool):
+        self.keep = keep
+        self.writes = 0
+        self.chars = 0
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.chars += len(text)
+        if self.keep:
+            self.parts.append(text)
+        return len(text)
+
+
+def _synthetic_rows(count: int) -> list[dict]:
+    return [
+        {"identity": "thm5.bernoulli-basis",
+         "params": {"n": i % 13, "k": i % 7 - 3, "r": i % 5, "lambda": "-1/3"},
+         "status": "pass"}
+        for i in range(count)
+    ]
+
+
+def _emit_json(monkeypatch, sink, rows) -> dict:
+    monkeypatch.setattr(sys, "stdout", sink)
+    args = argparse.Namespace(format="json", output=None)
+    meta = {"generated_at": "2000-01-01T00:00:00+00:00"}
+    cli._emit(args, "verify", {"n_max": 12}, rows, ["identity"], meta=meta)
+    return {"command": "verify", "params": {"n_max": 12}, "rows": rows, "meta": meta}
+
+
+def test_json_is_written_in_bounded_batches(monkeypatch):
+    sink = _CountingSink(keep=True)
+    payload = _emit_json(monkeypatch, sink, _synthetic_rows(20_000))
+    output = "".join(sink.parts)
+    assert output == json.dumps(payload, indent=2) + "\n"
+    assert len(output) > 3_000_000
+    assert sink.writes <= math.ceil(len(output) / 65536) + 1
+
+
+def test_json_output_is_not_materialised(monkeypatch):
+    rows = _synthetic_rows(20_000)
+    sink = _CountingSink(keep=False)
+    tracemalloc.start()
+    try:
+        _emit_json(monkeypatch, sink, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Rendering the whole report first peaks at several times its size.
+    assert sink.chars > 3_000_000
+    assert peak < sink.chars // 2, (peak, sink.chars)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_failed_write_part_way_is_a_usage_error(fmt):
+    # A fresh interpreter, so stderr shows anything reported at exit as well.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycauchy", "verify", "--n-max", "3", "--format", fmt,
+         "--output", "/dev/full"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == ""
