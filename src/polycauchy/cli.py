@@ -11,10 +11,11 @@ intact.
 Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
 block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
 Every output is streamed into the ``--output`` file or stdout in bounded
-batches, never rendered whole first: JSON as the chunks of the indented
-encoder joined into writes of about 64 KiB, CSV row by row, and text in one
-write.  A write error part-way through still exits 2, and may leave a
-partial ``--output`` file, as a failed single write could before.
+batches, never rendered whole first: the chunks of the indented JSON
+encoder and the rows of the CSV writer are joined into writes of about
+64 KiB, and text goes in one write.  A write error part-way through still
+exits 2, and may leave a partial ``--output`` file, as a failed single write
+could before.
 
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
@@ -37,7 +38,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
@@ -184,30 +185,43 @@ def _render_text(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-# JSON chunks are joined into writes of at least this many characters (the
-# last write excepted), so an unbuffered stdout is not written chunk by chunk.
+# Writes are joined into ones of at least this many characters (the last
+# excepted), so an unbuffered stdout is not written chunk by chunk or row by row.
 _BATCH_CHARS = 1 << 16
 
 
-def _write_json(handle, payload: dict) -> None:
-    # json.dumps(payload, indent=2) is the join of these same chunks.
-    batch: list[str] = []
-    size = 0
-    for chunk in json.JSONEncoder(indent=2).iterencode(payload):
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= _BATCH_CHARS:
-            handle.write("".join(batch))
-            batch.clear()
-            size = 0
-    batch.append("\n")
-    handle.write("".join(batch))
+class _Batched:
+    """A sink over ``handle`` that joins what it is given into writes of at
+    least ``_BATCH_CHARS``; ``close`` writes what is left."""
+
+    def __init__(self, handle):
+        self._handle = handle
+        self._batch: list[str] = []
+        self._size = 0
+
+    def writelines(self, chunks: Iterable[str]) -> None:
+        batch, size = self._batch, self._size
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH_CHARS:
+                self._handle.write("".join(batch))
+                batch.clear()
+                size = 0
+        self._size = size
+
+    def write(self, text: str) -> None:
+        self.writelines((text,))
+
+    def close(self) -> None:
+        if self._batch:
+            self._handle.write("".join(self._batch))
 
 
-def _write_csv(handle, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(sink: _Batched, columns: list[str], rows: list[dict]) -> None:
     import csv
 
-    writer = csv.writer(handle, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer = csv.writer(sink, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in rows)
 
@@ -219,15 +233,19 @@ def _emit(args, command: str, params: dict, rows: list[dict], columns: list[str]
     only for ``--format text``."""
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as handle:
+        out = _Batched(handle)
         if args.format == "json":
             payload = {"command": command, "params": params, "rows": rows}
             if meta is not None:
                 payload["meta"] = meta
-            _write_json(handle, payload)
+            # json.dumps(payload, indent=2) is the join of these same chunks.
+            out.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+            out.write("\n")
         elif args.format == "csv":
-            _write_csv(handle, columns, rows)
+            _write_csv(out, columns, rows)
         else:
-            handle.write((text() if text is not None else _render_text(columns, rows)) + "\n")
+            out.write((text() if text is not None else _render_text(columns, rows)) + "\n")
+        out.close()
 
 
 # ---------------------------------------------------------------------------

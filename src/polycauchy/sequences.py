@@ -43,7 +43,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .poly import Polynomial, _frobenius_euler_lambda, _from_numerators, _integer_numerators
 from .series import TruncatedSeries, constant_series, exp_series, log1p_series
@@ -54,7 +54,6 @@ __all__ = [
     "Stirling1Table",
     "stirling1",
     "binom",
-    "multinomial",
     "lif_series",
     "falling_factorial_poly",
     "t_over_log1p_series",
@@ -127,14 +126,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def multinomial(parts: Sequence[int]) -> int:
-    """Multinomial coefficient (sum parts)! / (parts[0]! * ... )."""
-    result = factorial(sum(parts))
-    for p in parts:
-        result //= factorial(p)
-    return result
 
 
 def lif_series(k: int, order: int) -> TruncatedSeries:
@@ -254,27 +245,15 @@ def bernoulli2nd_convolution(r: int, a: int) -> Fraction:
     Bernoulli numbers of the second kind.  Equals a! [t^a] (t/log(1+t))^r;
     the empty product (r = 0) contributes 1 only at a = 0.
 
-    b_0..b_a are read once, as integer numerators over one denominator D,
-    so each product of r of them is an int over D^r.
+    The sum is grouped one factor at a time, as an r-fold binomial
+    convolution p_m <- sum_j C(m,j) p_j b_(m-j), in O(r a^2) rather than over
+    the C(a+r-1, r-1) compositions.  b_0..b_a are read once, as integer
+    numerators over one denominator D, so each p_m is an int over D^r.
     """
     if r < 0 or a < 0:
         raise ValueError("convolution indices must be non-negative")
-    if r == 0:
-        return Fraction(1 if a == 0 else 0)
     b, den = _integer_numerators([bernoulli_2nd_number(j) for j in range(a + 1)])
-    total = 0
-    for parts in _compositions(a, r):
-        term = multinomial(parts)
-        for p in parts:
-            term *= b[p]
-        total += term
-    return Fraction(total, den**r)
-
-
-def _compositions(total: int, count: int):
-    if count == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, count - 1):
-            yield (first,) + rest
+    power = [1] + [0] * a
+    for _ in range(r):
+        power = [sum(comb(m, j) * power[j] * b[m - j] for j in range(m + 1)) for m in range(a + 1)]
+    return Fraction(power[a], den**r)

@@ -22,6 +22,7 @@ REMOVED = (
     "binomial_series",
     "exp_xt_series",
     "row_of",
+    "multinomial",
 )
 
 

@@ -402,6 +402,26 @@ def test_series_unknown_name(capsys):
     assert "unknown generating function" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "stirling1", "--n-max", "-1"),
+    ("gen", "frobenius-euler", "--r", "1", "--lambda", "x", "--n-max", "2"),
+    ("expand", "--n", "1", "--k", "1", "--basis", "falling:1"),
+    ("expand", "--n", "1", "--k", "1", "--basis", "frobenius:1"),
+    ("series", "bernoulli2-gf:3", "--order", "2"),
+    ("series", "lif:x", "--order", "2"),
+], ids=["negative-size", "lambda-type", "falling-param", "frobenius-arity",
+        "bernoulli2-param", "lif-k"])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    # argparse reports a bad flag value by raising SystemExit(2) itself.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "error:" in captured.err and "Traceback" not in captured.err, captured.err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "gen", "polycauchy2-number", "--k", "1", "--n-max", "1",
@@ -498,6 +518,22 @@ def test_json_is_written_in_bounded_batches(monkeypatch):
     output = "".join(sink.parts)
     assert output == json.dumps(payload, indent=2) + "\n"
     assert len(output) > 3_000_000
+    assert sink.writes <= math.ceil(len(output) / 65536) + 1
+
+
+def test_csv_is_written_in_bounded_batches(monkeypatch):
+    rows = _synthetic_rows(20_000)
+    columns = ["identity", "params", "status"]
+    sink = _CountingSink(keep=True)
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._emit(argparse.Namespace(format="csv", output=None), "verify", {}, rows, columns)
+    output = "".join(sink.parts)
+    expected = io.StringIO()
+    writer = csv.writer(expected, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([cli._csv_cell(row[c]) for c in columns] for row in rows)
+    assert output == expected.getvalue()
+    assert len(output) > 1_000_000
     assert sink.writes <= math.ceil(len(output) / 65536) + 1
 
 

@@ -17,7 +17,6 @@ from polycauchy.sequences import (
     falling_factorial_poly,
     frobenius_euler_poly,
     lif_series,
-    multinomial,
     narumi_poly,
     stirling1,
     t_over_log1p_series,
@@ -237,6 +236,38 @@ def test_convolution_matches_series_power(r):
         assert bernoulli2nd_convolution(r, a) == power.sequence_value(a), (r, a)
 
 
+def _compositions(total, count):
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, count - 1):
+            yield (first,) + rest
+
+
+def _composition_sum(r, a):
+    # The defining sum, one term per composition a_1+...+a_r = a.
+    b = [bernoulli_2nd_number(j) for j in range(a + 1)]
+    total = F(0)
+    for parts in _compositions(a, r):
+        term = F(factorial(a))
+        for p in parts:
+            term *= b[p] / factorial(p)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_convolution_is_the_composition_sum(r):
+    for a in range(13):
+        assert bernoulli2nd_convolution(r, a) == _composition_sum(r, a), (r, a)
+
+
+def test_convolution_at_a_wide_order():
+    assert bernoulli2nd_convolution(10, 20) == (t_over_log1p_series(20) ** 10).sequence_value(20)
+
+
 # ---------------------------------------------------------------------------
 # Cross-cutting properties
 
@@ -259,9 +290,3 @@ def test_binom_conventions():
     assert binom(5, 2) == 10
     assert binom(5, -1) == 0
     assert binom(3, 4) == 0
-
-
-def test_multinomial():
-    assert multinomial((1, 0)) == 1
-    assert multinomial((2, 1, 1)) == 12
-    assert multinomial(()) == 1
