@@ -374,7 +374,7 @@ def _cmd_verify(args) -> int:
         "r_range": list(config.r_range),
         "lambdas": [format_rational(v) for v in config.lambdas],
         "y_values": [format_rational(v) for v in config.y_values],
-        "identities": sorted(config.identities) if config.identities else sorted(catalog_ids()),
+        "identities": list(config.identities) if config.identities else sorted(catalog_ids()),
     }
     columns = ["identity", "params", "status", "lhs", "rhs"]
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}

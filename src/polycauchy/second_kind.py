@@ -22,10 +22,11 @@ k >= 0 and 1 for k < 0.  ``poly_closed`` is that polynomial at c = 1,
 coefficients, and Theorem 2's braced weights are the polynomial at c = 2.
 The same layout runs Theorem 6's factored row, ``connection_to_frobenius``:
 the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
-1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r.
-Theorem 4's sides are each one ``linear_combination`` of closed
-polynomials, read at a point, and the addition formula's weights are int
-products over powers of q.
+1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r whose
+numerator is ``_stirling_convolution``, sum_j C(n,j) S1(j,m) g(n-j) in ints.
+Theorem 4's left side is that helper over the numbers, its right side one
+``linear_combination`` of closed polynomials read at x = -1; the addition
+formula's weights are int products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``sheffer_rows``),
@@ -262,6 +263,17 @@ def recurrence_theorem3_rhs(n: int, k: int) -> Polynomial:
     return X * poly_closed(n - 1, k).shift(-1) + mix.shift(-1)
 
 
+def _stirling_convolution(n: int, m: int, g: list[int]) -> int:
+    """sum_{j=m}^{n} C(n,j) S1(j,m) g[n-j] in ints: the sum that gives each
+    entry of Theorem 6's row and the left side of Theorem 4."""
+    total = 0
+    for j in range(m, n + 1):
+        s = stirling1(j, m)
+        if s:
+            total += binom(n, j) * s * g[n - j]
+    return total
+
+
 def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the two-way Stirling/number contraction, for n >= m >= 1:
 
@@ -269,22 +281,20 @@ def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     RHS  sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)
              { (m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1) }
 
-    Each side is one ``linear_combination`` of C_N^(k) and C_N^(k-1),
-    N <= n-m, read at x = 0 and at x = -1."""
+    The left side is ``_stirling_convolution`` over C_0^(k)..C_{n-m}^(k), the
+    right side one ``linear_combination`` of C_N^(k) and C_N^(k-1) at x = -1."""
     if not 1 <= m <= n:
         raise ValueError("the contraction identity needs n >= m >= 1")
     top = n - m
-    polys = [poly_closed(top - l, k) for l in range(top + 1)]
-    lhs = linear_combination(
-        [factorial(m) * binom(n, l + m) * stirling1(l + m, m) for l in range(top + 1)], polys
-    )
+    numbers, den = _integer_numerators([number_closed(i, k) for i in range(top + 1)])
+    lhs = Fraction(factorial(m) * _stirling_convolution(n, m, numbers), den)
     outer = [factorial(m - 1) * binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1)
              for l in range(top + 1)]
     rhs = linear_combination(
         [(m - 1) * w for w in outer] + outer,
-        polys + [poly_closed(top - l, k - 1) for l in range(top + 1)],
+        [poly_closed(top - l, kk) for kk in (k, k - 1) for l in range(top + 1)],
     )
-    return lhs.coefficient(0), rhs(-1)
+    return lhs, rhs(-1)
 
 
 def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
@@ -294,11 +304,7 @@ def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
     """
     if n < 1:
         raise ValueError("the m = 1 contraction needs n >= 1")
-    lhs = poly_closed(n - 1, k - 1)(-1)
-    rhs = Fraction(0)
-    for l in range(n):
-        rhs += _sign(l) * factorial(l) * binom(n, l + 1) * number_closed(n - l - 1, k)
-    return lhs, rhs
+    return theorem4_sides(n, 1, k)
 
 
 def derivative_formula(n: int, k: int) -> Polynomial:
@@ -407,18 +413,18 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
     g(N) = sum_{a=0}^{min(r,N)} C(r,a) (N)_a (1-lambda)^(-a) C_{N-a}^(k)
 
     and the row is the convolution C_{n,m} = sum_{j=m}^{n} C(n,j) S1(j,m) g(n-j),
-    O(nr + n^2) terms instead of O(n^2 r).
+    ``_stirling_convolution``: O(n min(r,n) + n^2) terms instead of O(n^2 r).
 
     Both sums run in integer numerators.  With 1/(1-lambda) = p/q and L the
     lcm of the denominators of C_0^(k)..C_n^(k), the weights C(r,a) p^a
-    q^(r-a) are ints, L q^r g(N) is an int, and each entry is one Fraction
-    over L q^r.
+    q^(r-a), a <= min(r,n), are ints, L q^r g(N) is an int, and each entry
+    is one Fraction over L q^r.
     """
     basis = Basis.frobenius_euler(r, lam)
     _refuse_negative(n)
     step = 1 / (1 - basis.param)
     p, q = step.numerator, step.denominator
-    weights = [binom(r, a) * p**a * q ** (r - a) for a in range(r + 1)]
+    weights = [binom(r, a) * p**a * q ** (r - a) for a in range(min(r, n) + 1)]
     numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
     g = [
         sum(weights[a] * perm(big_n, a) * numbers[big_n - a]
@@ -426,14 +432,7 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
         for big_n in range(n + 1)
     ]
     den *= q**r
-    entries = []
-    for m in range(n + 1):
-        total = 0
-        for j in range(m, n + 1):
-            s = stirling1(j, m)
-            if s:
-                total += binom(n, j) * s * g[n - j]
-        entries.append(Fraction(total, den))
+    entries = [Fraction(_stirling_convolution(n, m, g), den) for m in range(n + 1)]
     return ConnectionMatrix(n, k, basis, tuple(entries))
 
 

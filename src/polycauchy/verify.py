@@ -71,7 +71,8 @@ class IdentityInfo:
 @dataclass(frozen=True)
 class GridConfig:
     """Parameter grid for a suite run.  ``identities`` of None selects the
-    whole catalog."""
+    whole catalog.  Repeated values are dropped: lambdas and y values keep
+    their first-seen order, and identities are sorted."""
 
     n_max: int = 12
     k_range: tuple[int, int] = (-3, 3)
@@ -93,14 +94,15 @@ class GridConfig:
             raise GridConfigError("k range is empty")
         if self.r_range[0] > self.r_range[1] or self.r_range[0] < 0:
             raise GridConfigError("r range must be a non-empty range of non-negative integers")
-        object.__setattr__(self, "lambdas", tuple(map(_exact, self.lambdas)))
-        object.__setattr__(self, "y_values", tuple(map(_exact, self.y_values)))
+        object.__setattr__(self, "lambdas", tuple(dict.fromkeys(map(_exact, self.lambdas))))
+        object.__setattr__(self, "y_values", tuple(dict.fromkeys(map(_exact, self.y_values))))
         if any(v == 1 for v in self.lambdas):
             raise GridConfigError("Frobenius-Euler parameter must differ from 1")
         if self.identities is not None:
             unknown = set(self.identities) - set(catalog_ids())
             if unknown:
                 raise GridConfigError(f"unknown identities: {sorted(unknown)}")
+            object.__setattr__(self, "identities", tuple(sorted(set(self.identities))))
 
     @property
     def ks(self) -> range:
@@ -481,9 +483,9 @@ def _check_key(check: Check):
 def run_suite(config: GridConfig | None = None) -> VerificationReport:
     """Evaluate the selected identities at every grid point of ``config``."""
     cfg = config if config is not None else GridConfig()
-    selected = cfg.identities if cfg.identities is not None else catalog_ids()
+    selected = cfg.identities if cfg.identities is not None else sorted(catalog_ids())
     checks: list[Check] = []
-    for identity in sorted(set(selected)):
+    for identity in selected:
         info, evaluate = _IDENTITIES[identity]
         try:
             for values, lhs, rhs in evaluate(cfg):

@@ -332,6 +332,28 @@ def test_verify_identity_filter_json(capsys):
     assert "generated_at" in payload["meta"]
 
 
+@pytest.mark.parametrize(
+    "repeated, single",
+    [
+        (["--lambda", "2", "--lambda", "2"], ["--lambda", "2"]),
+        (["--lambda", "2", "--lambda", "4/2"], ["--lambda", "2"]),
+        (["--lambda", "-1", "--lambda", "2", "--lambda", "-1"], ["--lambda", "-1", "--lambda", "2"]),
+        (["--identity", "difference", "--identity", "difference"], ["--identity", "difference"]),
+    ],
+)
+def test_verify_repeated_flags_run_once(capsys, repeated, single):
+    base = ["verify", "--n-max", "2", "--format", "json"]
+    if repeated[0] == "--lambda":
+        base += ["--identity", "thm6.frobenius-basis"]
+    payloads = []
+    for flags in (repeated, single):
+        code, out, _ = run_cli(capsys, *base, *flags)
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0]["params"] == payloads[1]["params"]
+    assert payloads[0]["rows"] == payloads[1]["rows"]
+
+
 def test_verify_lambda_one_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--n-max", "2", "--lambda", "1/1")
     assert code == 2

@@ -394,7 +394,7 @@ def _theorem4_sides_loop(n, m, k):
 
 @pytest.mark.parametrize("k", KS)
 def test_theorem4_sides_equal_fraction_loop(k):
-    for n in range(1, 13):
+    for n in range(1, 21):
         for m in range(1, n + 1):
             sides = sk.theorem4_sides(n, m, k)
             assert all(type(side) is F for side in sides), (n, m)
@@ -537,6 +537,24 @@ def test_frobenius_row_reads_each_number_once_per_shift(monkeypatch):
     sk.connection_to_frobenius(n, 1, r, F(-1, 3))
     assert len(seen) <= (n + 1) * (r + 1)
     assert min(seen) >= 0
+
+
+def test_frobenius_row_builds_only_the_weights_it_reads(monkeypatch):
+    # g(N) reads C(r,a) p^a q^(r-a) only for a <= min(r, N), so a wide
+    # order r must cost no more binomials than r = n does.
+    n, r = 4, 10**4
+    calls = []
+    binom = sk.binom
+
+    def counted(top, bottom):
+        calls.append((top, bottom))
+        return binom(top, bottom)
+
+    monkeypatch.setattr(sk, "binom", counted)
+    row = sk.connection_to_frobenius(n, 1, r, 2).entries
+    assert len([c for c in calls if c[0] == r]) == n + 1
+    assert len(calls) <= (n + 1) * (n + 2)
+    assert row == _frobenius_row_by_double_sum(n, 1, r, F(2))
 
 
 @pytest.mark.parametrize(
