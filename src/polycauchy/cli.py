@@ -13,9 +13,11 @@ block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
 Every output is streamed into the ``--output`` file or stdout in bounded
 batches, never rendered whole first: the chunks of the indented JSON
 encoder and the rows of the CSV writer are joined into writes of about
-64 KiB, and text goes in one write.  A write error part-way through still
-exits 2, and may leave a partial ``--output`` file, as a failed single write
-could before.
+64 KiB, and text goes in one write.  ``verify`` rows are written as their
+checks are made (``verify._Stream``), so its memory does not grow with the
+grid, and the ``--output`` file is opened before the first check.  A write
+error part-way through still exits 2, as does a grid found part-way through
+to need a deeper series; either may leave a partial ``--output`` file.
 
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
@@ -37,6 +39,7 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain, islice
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
@@ -176,7 +179,7 @@ def _csv_cell(value):
     return value
 
 
-def _render_text(columns: list[str], rows: list[dict]) -> str:
+def _render_text(columns: list[str], rows: Iterable[dict]) -> str:
     cells = [[str(_csv_cell(row.get(c))) for c in columns] for row in rows]
     widths = [max([len(c)] + [len(line[i]) for line in cells]) for i, c in enumerate(columns)]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
@@ -218,7 +221,20 @@ class _Batched:
             self._handle.write("".join(self._batch))
 
 
-def _write_csv(sink: _Batched, columns: list[str], rows: list[dict]) -> None:
+class _StreamedArray(list):
+    """Rows the JSON encoder reads as they come.  ``iterencode`` tests a
+    list for emptiness, then iterates it: this one holds only the first row
+    and iterates that row, then the rest."""
+
+    def __init__(self, rows: Iterable[dict]):
+        self._rest = iter(rows)
+        super().__init__(islice(self._rest, 1))
+
+    def __iter__(self):
+        return chain(super().__iter__(), self._rest)
+
+
+def _write_csv(sink: _Batched, columns: list[str], rows: Iterable[dict]) -> None:
     import csv
 
     writer = csv.writer(sink, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
@@ -226,16 +242,17 @@ def _write_csv(sink: _Batched, columns: list[str], rows: list[dict]) -> None:
     writer.writerows([_csv_cell(row.get(c, "")) for c in columns] for row in rows)
 
 
-def _emit(args, command: str, params: dict, rows: list[dict], columns: list[str],
+def _emit(args, command: str, params: dict, rows: Iterable[dict], columns: list[str],
           text: Callable[[], str] | None = None, meta: dict | None = None) -> None:
-    """Stream the report into the ``--output`` file or stdout.  ``text``
-    renders the text form in place of the table of ``rows``; it is called
-    only for ``--format text``."""
+    """Stream the report into the ``--output`` file or stdout.  ``rows`` is
+    read once, after the sink is open, and each row is written as it is
+    read.  ``text`` renders the text form in place of the table of
+    ``rows``; it is called only for ``--format text``."""
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as handle:
         out = _Batched(handle)
         if args.format == "json":
-            payload = {"command": command, "params": params, "rows": rows}
+            payload = {"command": command, "params": params, "rows": _StreamedArray(rows)}
             if meta is not None:
                 payload["meta"] = meta
             # json.dumps(payload, indent=2) is the join of these same chunks.
@@ -353,7 +370,7 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     from datetime import datetime, timezone
 
-    from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, catalog_ids, run_suite
+    from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, _Stream, catalog_ids
 
     lambdas = tuple(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
     identities = tuple(args.identities) if args.identities else None
@@ -365,7 +382,6 @@ def _cmd_verify(args) -> int:
             lambdas=lambdas,
             identities=identities,
         )
-        report = run_suite(config)
     except GridConfigError as exc:
         raise UsageError(str(exc)) from None
     params = {
@@ -376,10 +392,15 @@ def _cmd_verify(args) -> int:
         "y_values": [format_rational(v) for v in config.y_values],
         "identities": list(config.identities) if config.identities else sorted(catalog_ids()),
     }
+    checks = _Stream(config)
     columns = ["identity", "params", "status", "lhs", "rhs"]
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
-    _emit(args, "verify", params, report.rows(), columns, text=report.to_text, meta=meta)
-    return 0 if report.failure_count == 0 else 1
+    rows = (check.row() for check in checks)
+    try:
+        _emit(args, "verify", params, rows, columns, text=checks.text, meta=meta)
+    except GridConfigError as exc:
+        raise UsageError(str(exc)) from None
+    return 0 if not checks.failures else 1
 
 
 def _cmd_series(args) -> int:

@@ -240,6 +240,77 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_unwritable_output_fails_before_any_check(tmp_path, capsys, monkeypatch, fmt):
+    from polycauchy import verify
+
+    started: list[str] = []
+    for identity, (info, evaluate) in list(verify._IDENTITIES.items()):
+        def counted(cfg, identity=identity, evaluate=evaluate):
+            started.append(identity)
+            yield from evaluate(cfg)
+
+        monkeypatch.setitem(verify._IDENTITIES, identity, (info, counted))
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--format", fmt,
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert started == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_verify_order_error_part_way_is_a_usage_error(tmp_path, capsys, monkeypatch, fmt):
+    from polycauchy import verify
+    from polycauchy.series import InsufficientOrderError
+
+    info, evaluate = verify._IDENTITIES["difference"]
+
+    def runs_short(cfg):
+        for index, point in enumerate(evaluate(cfg)):
+            if index == 3:
+                raise InsufficientOrderError(9, 8)
+            yield point
+
+    monkeypatch.setitem(verify._IDENTITIES, "difference", (info, runs_short))
+    target = tmp_path / "report.out"
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--format", fmt,
+                             "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: identity difference needs truncation order >= 9, got 8"
+    ]
+    # Checks before the failing one may have reached the file; it is partial.
+    assert target.exists()
+
+
+def test_verify_csv_bytes_do_not_depend_on_lambda_order(capsys):
+    base = ["verify", "--n-max", "2", "--identity", "thm6.frobenius-basis",
+            "--identity", "eq34.addition", "--format", "csv"]
+    _, first, _ = run_cli(capsys, *base, "--lambda", "-1", "--lambda", "2")
+    _, second, _ = run_cli(capsys, *base, "--lambda", "2", "--lambda", "-1")
+    assert first and first == second
+
+
+def test_verify_peak_memory_does_not_grow_with_the_grid(tmp_path):
+    # Many cheap checks each: the peak of a run that kept its checks or rows
+    # grows by about 0.8 MB from n <= 6 to n <= 12 on these identities.
+    target = str(tmp_path / "report.json")
+    argv = ["verify", "--identity", "thm1.coeff", "--identity", "thm4.general",
+            "--identity", "eq34.addition", "--format", "json", "--output", target]
+    # An untraced run first fills the memos and makes the command's lazy imports.
+    assert main([*argv, "--n-max", "12"]) == 0
+    peaks = []
+    for n_max in ("6", "12"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--n-max", n_max]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
+
+
 def test_negative_rational_flag_values(capsys):
     code, out, _ = run_cli(capsys, "gen", "frobenius-euler", "--r", "1", "--lambda", "-1/3",
                            "--n-max", "1", "--format", "json")

@@ -8,6 +8,7 @@ from polycauchy.poly import Polynomial
 from polycauchy.verify import (
     GridConfig,
     GridConfigError,
+    _checks,
     catalog,
     catalog_ids,
     run_suite,
@@ -88,18 +89,35 @@ def test_reports_are_deterministic():
     assert a.to_text() == b.to_text()
 
 
+def _canonical(check):
+    values = tuple((1, v) if isinstance(v, str) else (0, F(v)) for _, v in check.params)
+    return (check.identity, values)
+
+
+@pytest.mark.parametrize("identity", sorted(catalog_ids()))
+def test_evaluator_yields_in_canonical_order(identity):
+    # Reports are written as they are produced, never sorted, so each
+    # evaluator must yield its points in order whatever order the grid lists
+    # its values in.
+    config = GridConfig(
+        n_max=3,
+        k_range=(-1, 1),
+        r_range=(0, 2),
+        lambdas=(F(2), F(-1, 3), F(-1), F(1, 2)),
+        y_values=(F(1), F(-2), F(1, 2), F(0)),
+        identities=(identity,),
+    )
+    keys = [_canonical(check) for check in _checks(config)]
+    assert keys
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_checks_are_canonically_ordered():
-    # The addition formula runs y in grid order, 1 before 1/2, so the report
-    # is in canonical order only if the runner sorts it.
+    # The grid lists y = 1 before y = 1/2; the report puts 1/2 first.
     report = run_suite(GridConfig(n_max=2, k_range=(-1, 1), y_values=(F(1), F(1, 2))))
     ys = [dict(c.params)["y"] for c in report.checks if c.identity == "eq34.addition"]
     assert ys[:2] == [F(1, 2), F(1)]
-
-    def canonical(check):
-        values = tuple((1, v) if isinstance(v, str) else (0, F(v)) for _, v in check.params)
-        return (check.identity, values)
-
-    assert list(report.checks) == sorted(report.checks, key=canonical)
+    assert list(report.checks) == sorted(report.checks, key=_canonical)
 
 
 def test_rows_schema():
