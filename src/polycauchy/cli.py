@@ -26,9 +26,13 @@ what its command runs.
 
 Exit codes: 0 success, 1 verification failures, 2 usage errors, including
 requests beyond a table's size limit, values too large to print and output
-files that cannot be written.  The size flags ``gen --n-max``, ``expand --n``
+files that cannot be written.  Every refusal is an ``exact.UsageError``,
+raised in whichever layer finds it; ``main`` alone turns it, or an
+``OSError``, into exit 2.  The size flags ``gen --n-max``, ``expand --n``
 and ``series --order`` share one cap, the Stirling table's
-``DEFAULT_STIRLING_LIMIT`` (64), and are checked before any work.
+``DEFAULT_STIRLING_LIMIT`` (64), and are checked before any work.  The order
+k is uncapped; a huge |k| and a ``polycauchy-gf`` coefficient too wide to
+print are refused from sizes alone, before the value is built.
 """
 
 from __future__ import annotations
@@ -45,13 +49,10 @@ from typing import Callable, Iterable, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
-from .exact import UnprintableRationalError, format_rational, parse_rational
+from .exact import UnprintableRationalError, UsageError, format_rational, parse_rational
 from .poly import Basis, Polynomial
 
 __all__ = ["main", "build_parser"]
-
-class UsageError(Exception):
-    """Bad arguments discovered after parsing; reported on stderr, exit 2."""
 
 
 def _check_size(flag: str, value: int) -> None:
@@ -70,8 +71,45 @@ def _refuse_unprintable_k(k: int, times: int = 1, shift: Fraction | int = 0) -> 
     ``series lif:K``.  With times = n and the ``shift`` of ``_cmd_expand``
     it is entry n-1 of the ``expand`` row of C_n^(k), negated.  A |k| too
     large to print is refused here, at once, instead of after the row is
-    computed."""
+    computed.
+
+    Formatting costs time and memory that grow with |k|, so past a margin
+    |k| is refused from sizes alone.  2^m has more than ``limit`` digits
+    exactly when m >= T, the bit length of 10^limit.  From |k| >= T plus
+    the bit lengths of ``times`` and of both terms of ``shift``, plus 1,
+    the value holds at least 2^T: for k > 0 as a factor of its reduced
+    denominator, for k < 0 in its numerator.  A limit of 0 is none."""
+    limit = sys.get_int_max_str_digits()
+    shift = Fraction(shift)
+    if limit and abs(k) >= (10**limit).bit_length() + times.bit_length() + 1 + (
+        shift.numerator.bit_length() + shift.denominator.bit_length()
+    ):
+        raise UnprintableRationalError()
     format_rational(times * Fraction(2) ** -k + shift)
+
+
+def _refuse_unprintable_gf_coefficient(n: int, k: int) -> None:
+    """Refuse C_n^(k)/n! from a lower bound on its reduced denominator,
+    before the closed form is summed; below the bound nothing is decided.
+
+    For k > 0, a prime p with (n+1)/2 < p <= n+1 divides exactly one of
+    1..n+1, so in C_n^(k) = sum_m S1(n,m) (-1)^m / (m+1)^k only the term
+    m = p-1 has p in its denominator.  When v = v_p(S1(n, p-1)) < k, the
+    sum has p-adic valuation v - k, and p^(k - v + v_p(n!)) divides the
+    reduced denominator of C_n^(k)/n!."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or k <= 0:
+        return
+    bound = 1
+    for p in range(max(2, (n + 1) // 2 + 1), n + 2):
+        if all(p % d for d in range(2, p)):
+            s, v = seq.stirling1(n, p - 1), 0
+            while s % p == 0:
+                s, v = s // p, v + 1
+            if v < k:
+                bound *= p ** (k - v + (p <= n))
+    if bound >= 10**limit:
+        raise UnprintableRationalError()
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -318,11 +356,6 @@ def _cmd_gen(args) -> int:
         if given is None:
             raise UsageError(f"sequence {name!r} requires {flag}")
         params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
-    if name == "frobenius-euler":
-        try:
-            Basis.frobenius_euler(args.r, args.lam)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
     if name.startswith("polycauchy2-") and args.n_max >= 1:
         _refuse_unprintable_k(args.k)
     rows = [{"n": n, column: value(args, n)} for n in range(args.n_max + 1)]
@@ -331,18 +364,18 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_basis_spec(spec: str) -> Basis:
-    name, _, rest = spec.partition(":")
+    name, sep, rest = spec.partition(":")
+    if name == "falling":
+        if sep:
+            raise UsageError("the falling basis takes no parameters")
+        return Basis.falling_factorial()
+    r_text, sep, lam_text = rest.partition(":")
+    if name == "frobenius" and not sep:
+        raise UsageError("frobenius basis needs frobenius:R:LAMBDA")
     try:
-        if name == "falling":
-            if rest:
-                raise UsageError("the falling basis takes no parameters")
-            return Basis.falling_factorial()
         if name == "bernoulli":
             return Basis.higher_order_bernoulli(int(rest))
         if name == "frobenius":
-            r_text, sep, lam_text = rest.partition(":")
-            if not sep:
-                raise UsageError("frobenius basis needs frobenius:R:LAMBDA")
             return Basis.frobenius_euler(int(r_text), parse_rational(lam_text))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad basis spec {spec!r}: {exc}") from None
@@ -370,20 +403,15 @@ def _cmd_expand(args) -> int:
 def _cmd_verify(args) -> int:
     from datetime import datetime, timezone
 
-    from .verify import DEFAULT_LAMBDAS, GridConfig, GridConfigError, _Stream, catalog_ids
+    from .verify import DEFAULT_LAMBDAS, GridConfig, _Stream, catalog_ids
 
-    lambdas = tuple(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS
-    identities = tuple(args.identities) if args.identities else None
-    try:
-        config = GridConfig(
-            n_max=args.n_max,
-            k_range=(args.k_min, args.k_max),
-            r_range=(0, args.r_max),
-            lambdas=lambdas,
-            identities=identities,
-        )
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from None
+    config = GridConfig(
+        n_max=args.n_max,
+        k_range=(args.k_min, args.k_max),
+        r_range=(0, args.r_max),
+        lambdas=tuple(args.lambdas) if args.lambdas else DEFAULT_LAMBDAS,
+        identities=tuple(args.identities) if args.identities else None,
+    )
     params = {
         "n_max": config.n_max,
         "k_range": list(config.k_range),
@@ -396,47 +424,44 @@ def _cmd_verify(args) -> int:
     columns = ["identity", "params", "status", "lhs", "rhs"]
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
     rows = (check.row() for check in checks)
-    try:
-        _emit(args, "verify", params, rows, columns, text=checks.text, meta=meta)
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from None
+    _emit(args, "verify", params, rows, columns, text=checks.text, meta=meta)
     return 0 if not checks.failures else 1
 
 
 def _cmd_series(args) -> int:
     _check_size("--order", args.order)
-    name, _, param = args.which.partition(":")
+    name, sep, param = args.which.partition(":")
     order = args.order
-    try:
-        if name in ("lif", "polycauchy-gf") and order >= 1:
+    if name == "bernoulli2-gf" and sep:
+        raise UsageError("bernoulli2-gf takes no parameter")
+    if name in ("lif", "polycauchy-gf", "narumi-gf"):
+        try:
             k = int(param)
-            _refuse_unprintable_k(k)
-            # The t^order coefficient by its closed form, before any series
-            # is built: 1/(order+1)^k or C_order^(k), over order!.
-            if name == "lif":
-                last = Fraction(order + 1) ** -k
-            else:
-                last = sk._stirling_sums(order, k, 1, 1).coefficient(0)
-            format_rational(last / factorial(order))
+        except ValueError as exc:
+            raise UsageError(f"bad generating-function spec {args.which!r}: {exc}") from None
+    if name in ("lif", "polycauchy-gf") and order >= 1:
+        _refuse_unprintable_k(k)
+        # The t^order coefficient by its closed form, before any series is
+        # built: 1/(order+1)^k or C_order^(k), over order!.
         if name == "lif":
-            gf = seq.lif_series(int(param), order)
-        elif name == "polycauchy-gf":
-            gf = sk.gf_number_series(int(param), order)
-        elif name == "bernoulli2-gf":
-            if param:
-                raise UsageError("bernoulli2-gf takes no parameter")
-            gf = seq.t_over_log1p_series(order)
-        elif name == "narumi-gf":
-            gf = seq._NARUMI.amplitude(int(param), order)
+            last = Fraction(order + 1) ** -k
         else:
-            raise UsageError(
-                f"unknown generating function {args.which!r}; "
-                "use lif:K, polycauchy-gf:K, bernoulli2-gf or narumi-gf:A"
-            )
-    except UnprintableRationalError:
-        raise  # a ValueError, but not a bad spec
-    except ValueError as exc:
-        raise UsageError(f"bad generating-function spec {args.which!r}: {exc}") from None
+            _refuse_unprintable_gf_coefficient(order, k)
+            last = sk._stirling_sums(order, k, 1, 1).coefficient(0)
+        format_rational(last / factorial(order))
+    if name == "lif":
+        gf = seq.lif_series(k, order)
+    elif name == "polycauchy-gf":
+        gf = sk.gf_number_series(k, order)
+    elif name == "bernoulli2-gf":
+        gf = seq.t_over_log1p_series(order)
+    elif name == "narumi-gf":
+        gf = seq._NARUMI.amplitude(k, order)
+    else:
+        raise UsageError(
+            f"unknown generating function {args.which!r}; "
+            "use lif:K, polycauchy-gf:K, bernoulli2-gf or narumi-gf:A"
+        )
     rows = [{"i": i, "coefficient": format_rational(gf.coefficient(i))} for i in range(order + 1)]
     _emit(args, "series", {"which": args.which, "order": order}, rows, ["i", "coefficient"])
     return 0
@@ -447,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, seq.TableLimitError, UnprintableRationalError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

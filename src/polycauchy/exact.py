@@ -4,7 +4,8 @@ Every value this package computes is a :class:`fractions.Fraction`:
 arbitrary precision, always canonical (positive denominator, gcd 1, zero
 stored as 0/1), immutable, with structural equality.  This module pins that
 choice and owns the one serialization grammar shared by the CLI and the
-verification reports.
+verification reports, and ``UsageError``, the one type of every refusal the
+CLI turns into exit 2.
 """
 
 from __future__ import annotations
@@ -12,13 +13,27 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-__all__ = ["Rational", "UnprintableRationalError", "format_rational", "parse_rational"]
+__all__ = ["Rational", "UsageError", "UnprintableRationalError", "format_rational", "parse_rational"]
 
 Rational = Fraction
 
 
-class UnprintableRationalError(ValueError):
+class UsageError(ValueError):
+    """A request the package refuses: a bad parameter, a size past a cap, or
+    a value too large to print.  The CLI reports it on stderr with exit 2."""
+
+
+class UnprintableRationalError(UsageError):
     """A rational with more digits than the interpreter converts to text."""
+
+    def __init__(self, *args) -> None:
+        # With no message given, the one every refusal of a long value gives.
+        if not args:
+            args = (
+                "rational too large to print: numerator or denominator exceeds "
+                f"{sys.get_int_max_str_digits()} digits",
+            )
+        super().__init__(*args)
 
 
 def format_rational(value: Rational | int) -> str:
@@ -34,10 +49,7 @@ def format_rational(value: Rational | int) -> str:
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
-        raise UnprintableRationalError(
-            "rational too large to print: numerator or denominator exceeds "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+        raise UnprintableRationalError() from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,6 +34,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from .exact import UsageError
+
 __all__ = [
     "Polynomial",
     "X",
@@ -295,12 +297,13 @@ class BasisKind(Enum):
 
 def _frobenius_euler_lambda(order: int | None, lam: Fraction | int) -> Fraction:
     """lambda, made exact, of a Frobenius-Euler family or basis: the order
-    must be non-negative and lambda differ from 1."""
+    must be non-negative and lambda differ from 1, or ``UsageError`` is
+    raised."""
     if order is None or order < 0:
-        raise ValueError("Frobenius-Euler family needs a non-negative order")
+        raise UsageError("Frobenius-Euler family needs a non-negative order")
     lam = _exact(lam)
     if lam == 1:
-        raise ValueError("Frobenius-Euler parameter must differ from 1")
+        raise UsageError("Frobenius-Euler parameter must differ from 1")
     return lam
 
 

@@ -45,6 +45,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
+from .exact import UsageError
 from .poly import Polynomial, _frobenius_euler_lambda, _from_numerators, _integer_numerators
 from .series import TruncatedSeries, constant_series, exp_series, log1p_series
 
@@ -68,7 +69,7 @@ __all__ = [
 DEFAULT_STIRLING_LIMIT = 64
 
 
-class TableLimitError(ValueError):
+class TableLimitError(UsageError):
     """A lookup beyond the fixed size of a shared table."""
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
-from .exact import format_rational
+from .exact import UsageError, format_rational
 from .poly import Polynomial, _exact
 from .series import InsufficientOrderError, TruncatedSeries, log1p_series
 
@@ -63,7 +63,7 @@ LIF_DERIVATIVE_ORDER = 16
 STIRLING_GF_MAX_POWER = 8
 
 
-class GridConfigError(ValueError):
+class GridConfigError(UsageError):
     """The requested grid cannot be run as configured."""
 
 
@@ -81,8 +81,9 @@ class IdentityInfo:
 @dataclass(frozen=True)
 class GridConfig:
     """Parameter grid for a suite run.  ``identities`` of None selects the
-    whole catalog.  Repeated values are dropped: lambdas and y values keep
-    their first-seen order, and identities are sorted."""
+    whole catalog, and an empty selection is refused.  Repeated values are
+    dropped: lambdas and y values keep their first-seen order, and
+    identities are sorted."""
 
     n_max: int = 12
     k_range: tuple[int, int] = (-3, 3)
@@ -109,6 +110,8 @@ class GridConfig:
         if any(v == 1 for v in self.lambdas):
             raise GridConfigError("Frobenius-Euler parameter must differ from 1")
         if self.identities is not None:
+            if not self.identities:
+                raise GridConfigError("identity selection is empty")
             unknown = set(self.identities) - set(catalog_ids())
             if unknown:
                 raise GridConfigError(f"unknown identities: {sorted(unknown)}")

@@ -156,9 +156,13 @@ def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monk
     ("expand", "--n", "4", "--k", "100000", "--basis", "frobenius:1:-1"),
     ("expand", "--n", "3", "--k", "-100000", "--basis", "frobenius:2:1/2"),
     ("series", "polycauchy-gf:6000", "--order", "16"),
+    ("gen", "polycauchy2-number", "--k", "100000000000", "--n-max", "1"),
+    ("series", "lif:-100000000000", "--order", "1"),
+    ("expand", "--n", "4", "--k", "100000000000", "--basis", "falling"),
 ], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling",
         "expand-bernoulli", "expand-frobenius", "expand-frobenius-negative-k",
-        "series-polycauchy-gf-last-coefficient"])
+        "series-polycauchy-gf-last-coefficient", "gen-number-huge-k", "series-lif-huge-k",
+        "expand-falling-huge-k"])
 def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, argv):
     # C_1^(k) = -2^(-k) is in each of these outputs, so its digits alone
     # decide the refusal; no row builder may run first.  At k = 6000 C_1
@@ -229,6 +233,104 @@ def test_early_refusal_fires_only_on_an_unprintable_row():
     finally:
         sys.set_int_max_str_digits(limit)
     assert 0 < fired < 26 * 4 * len(EXPAND_BASES)
+
+
+class _Formatted(Exception):
+    pass
+
+
+def _refused_from_sizes(k, times, shift):
+    """Whether ``_refuse_unprintable_k`` refuses before it formats a value;
+    the caller has made the CLI's ``format_rational`` raise ``_Formatted``."""
+    try:
+        cli._refuse_unprintable_k(k, times, shift)
+    except UnprintableRationalError:
+        return True
+    except _Formatted:
+        return False
+    raise AssertionError("neither refused nor formatted")
+
+
+def test_huge_k_is_refused_from_sizes_only_where_the_exact_rule_refuses(monkeypatch):
+    # Around the margin, on both signs of k, for the values gen, series and
+    # expand refuse by: 2^(-k) and n 2^(-k) + shift at n <= 12 for every basis.
+    def formatted(value):
+        raise _Formatted
+
+    monkeypatch.setattr(cli, "format_rational", formatted)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        cases = [(1, F(0))] + [(n, F(_shift(n, b))) for n in range(1, 13) for b in EXPAND_BASES]
+        fired = 0
+        for times, shift in cases:
+            margin = (10**640).bit_length() + times.bit_length() + 1 + (
+                shift.numerator.bit_length() + shift.denominator.bit_length()
+            )
+            for k in [*range(margin - 3, margin + 2), *range(-margin - 1, -margin + 4)]:
+                early = _refused_from_sizes(k, times, shift)
+                assert early == (abs(k) >= margin), (k, times, shift)
+                if early:
+                    with pytest.raises(UnprintableRationalError):
+                        format_rational(times * F(2) ** -k + shift)
+                    fired += 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert fired == 4 * len(cases)
+
+
+def _gf_probe_refuses(n, k):
+    try:
+        format_rational(sk._stirling_sums(n, k, 1, 1).coefficient(0) / factorial(n))
+    except UnprintableRationalError:
+        return True
+    return False
+
+
+def test_gf_coefficient_bound_refuses_only_where_the_exact_probe_refuses():
+    # The bound refuses C_n^(k)/n! from a divisor of its reduced denominator.
+    # It is checked against the probe on a window around the least k it
+    # refuses, for every order the CLI accepts.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in range(1, seq.DEFAULT_STIRLING_LIMIT + 1):
+            first = None
+            for k in range(-3, 2200):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k)
+                except UnprintableRationalError:
+                    first = k
+                    break
+            assert first is not None and first > 0, n
+            for k in range(max(1, first - 8), first + 8):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k)
+                except UnprintableRationalError:
+                    assert _gf_probe_refuses(n, k), (n, k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_wide_gf_coefficient_is_refused_before_the_probe(capsys, monkeypatch):
+    # At the default limit the probe alone spends seconds on this order.
+    def probe(*args):
+        raise AssertionError("summed a coefficient that cannot be printed")
+
+    monkeypatch.setattr(sk, "_stirling_sums", probe)
+    code, out, err = run_cli(capsys, "series", "polycauchy-gf:14000", "--order", "64")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational too large to print")
+
+
+@pytest.mark.parametrize("r, lam, message", [
+    ("-1", "2", "Frobenius-Euler family needs a non-negative order"),
+    ("1", "1", "Frobenius-Euler parameter must differ from 1"),
+])
+def test_gen_frobenius_euler_parameters_are_usage_errors(capsys, r, lam, message):
+    code, out, err = run_cli(capsys, "gen", "frobenius-euler", "--r", r, "--lambda", lam,
+                             "--n-max", "2")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
@@ -502,8 +604,10 @@ def test_series_unknown_name(capsys):
     ("expand", "--n", "1", "--k", "1", "--basis", "frobenius:1"),
     ("series", "bernoulli2-gf:3", "--order", "2"),
     ("series", "lif:x", "--order", "2"),
+    ("expand", "--n", "1", "--k", "1", "--basis", "falling:"),
+    ("series", "bernoulli2-gf:", "--order", "2"),
 ], ids=["negative-size", "lambda-type", "falling-param", "frobenius-arity",
-        "bernoulli2-param", "lif-k"])
+        "bernoulli2-param", "lif-k", "falling-empty-param", "bernoulli2-empty-param"])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     # argparse reports a bad flag value by raising SystemExit(2) itself.
     try:

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycauchy.exact import UnprintableRationalError, format_rational, parse_rational
+from polycauchy import cli
+from polycauchy.exact import UnprintableRationalError, UsageError, format_rational, parse_rational
+from polycauchy.sequences import TableLimitError, frobenius_euler_poly
+from polycauchy.verify import GridConfigError
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=30)
 nonzero_rationals = rationals.filter(bool)
@@ -99,3 +102,17 @@ def test_parse_zero_denominator():
 @given(rationals)
 def test_wire_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@pytest.mark.parametrize("refusal", [UnprintableRationalError, TableLimitError, GridConfigError])
+def test_every_refusal_is_one_usage_error(refusal):
+    # The CLI maps exactly this type to exit 2; library callers that catch
+    # ValueError see no change.
+    assert issubclass(refusal, UsageError) and issubclass(refusal, ValueError)
+    assert cli.UsageError is UsageError
+
+
+@pytest.mark.parametrize("r, lam", [(-1, 2), (1, 1)])
+def test_frobenius_euler_parameters_are_refused_as_usage_errors(r, lam):
+    with pytest.raises(UsageError):
+        frobenius_euler_poly(2, r, lam)

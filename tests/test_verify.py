@@ -198,3 +198,10 @@ def test_config_validation(kwargs):
 def test_unknown_identity_message():
     with pytest.raises(GridConfigError, match="no-such"):
         GridConfig(identities=("no-such",))
+
+
+def test_empty_identity_selection_is_refused():
+    # A run over no identities would report 0 checks and 0 failures: a pass
+    # that checked nothing.  None, not (), selects the whole catalog.
+    with pytest.raises(GridConfigError, match="identity selection is empty"):
+        GridConfig(identities=())
