@@ -49,7 +49,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
-from .exact import UnprintableRationalError, UsageError, format_rational, parse_rational
+from .exact import (UnprintableRationalError, UsageError, format_numerators, format_rational,
+                    parse_rational, unprintable_power)
 from .poly import Basis, Polynomial
 
 __all__ = ["main", "build_parser"]
@@ -74,16 +75,14 @@ def _refuse_unprintable_k(k: int, times: int = 1, shift: Fraction | int = 0) -> 
     computed.
 
     Formatting costs time and memory that grow with |k|, so past a margin
-    |k| is refused from sizes alone.  2^m has more than ``limit`` digits
-    exactly when m >= T, the bit length of 10^limit.  From |k| >= T plus
-    the bit lengths of ``times`` and of both terms of ``shift``, plus 1,
-    the value holds at least 2^T: for k > 0 as a factor of its reduced
-    denominator, for k < 0 in its numerator.  A limit of 0 is none."""
-    limit = sys.get_int_max_str_digits()
+    |k| is refused from sizes alone (``exact.unprintable_power``).  From |k|
+    >= T plus the bit lengths of ``times`` and of both terms of ``shift``,
+    plus 1, with T the bit length of 10^limit, the value holds at least
+    2^T: for k > 0 as a factor of its reduced denominator, for k < 0 in its
+    numerator."""
     shift = Fraction(shift)
-    if limit and abs(k) >= (10**limit).bit_length() + times.bit_length() + 1 + (
-        shift.numerator.bit_length() + shift.denominator.bit_length()
-    ):
+    margin = times.bit_length() + 1 + shift.numerator.bit_length() + shift.denominator.bit_length()
+    if unprintable_power(k, margin):
         raise UnprintableRationalError()
     format_rational(times * Fraction(2) ** -k + shift)
 
@@ -206,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Output plumbing
 
 def _poly_strings(p: Polynomial) -> list[str]:
-    return [format_rational(c) for c in p.coeffs]
+    return format_numerators(p.nums, p.den)
 
 
 def _csv_cell(value):
@@ -462,7 +461,7 @@ def _cmd_series(args) -> int:
             f"unknown generating function {args.which!r}; "
             "use lif:K, polycauchy-gf:K, bernoulli2-gf or narumi-gf:A"
         )
-    rows = [{"i": i, "coefficient": format_rational(gf.coefficient(i))} for i in range(order + 1)]
+    rows = [{"i": i, "coefficient": c} for i, c in enumerate(format_numerators(gf.nums, gf.den))]
     _emit(args, "series", {"which": args.which, "order": order}, rows, ["i", "coefficient"])
     return 0
 

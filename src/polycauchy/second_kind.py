@@ -30,8 +30,9 @@ formula's weights are int products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``sheffer_rows``),
-C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, summed by Horner's scheme in
-the falling basis, Q <- w_j + (x - j) Q, so it never reads the Stirling
+C_n^(k)(x) = sum_j C(n,j) C_(n-j)^(k) (x)_j, summed in the falling basis by
+Horner's scheme Q <- w_j + (x - j) Q down to the lowest nonzero weight and
+one product by the falling factorial there, so it never reads the Stirling
 table.
 
 Closed-route values are memoized per (n, k).  The oracle, like each basis of

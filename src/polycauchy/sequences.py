@@ -46,7 +46,8 @@ from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .exact import UsageError
-from .poly import Polynomial, _frobenius_euler_lambda, _from_numerators, _integer_numerators
+from .poly import (Polynomial, _convolve_ints, _frobenius_euler_lambda, _from_numerators,
+                   _integer_numerators)
 from .series import TruncatedSeries, constant_series, exp_series, log1p_series
 
 __all__ = [
@@ -159,6 +160,11 @@ def grown_order(n: int) -> int:
     return n if n < 2 else 1 << (n - 1).bit_length()
 
 
+def _times_x_minus(j: int, p: list[int]) -> list[int]:
+    """(x - j) p(x) for the integer coefficients of p, lowest degree first."""
+    return [a - j * b for a, b in zip([0] + p, p + [0])]
+
+
 def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial, ...]:
     """(P_0, ..., P_N) for the amplitude series A(t) of order N:
     P_n(x) = sum_j w_j kappa_j(x), with w_j = C(n,j) a_(n-j) and
@@ -166,19 +172,29 @@ def sheffer_rows(amplitude: TruncatedSeries, falling: bool) -> tuple[Polynomial,
     which becomes each row's own, so no Fraction is built.
 
     For e^(xt) kappa_j is x^j, and the weights are the row's coefficients.
-    For (1+t)^x (``falling``) kappa_j is (x)_j, summed by Horner's scheme
-    Q <- w_j + (x - j) Q for j = n..0, with no Stirling number."""
+    For (1+t)^x (``falling``) kappa_j is (x)_j, with no Stirling number:
+    Horner's scheme Q <- w_j + (x - j) Q runs for j = n..l only, l the
+    lowest j with w_j nonzero, and Q is then multiplied once by (x)_l.
+    The products (x)_(j+1) = (x)_j (x - j) are built once per row, as far
+    as some member needs them, so the amplitude-1 row of the falling
+    factorials (l = n) costs O(N^2) steps, and a row with w_0 nonzero is
+    plain Horner."""
     numbers = [factorial(m) * v for m, v in enumerate(amplitude.nums)]
     den = amplitude.den
+    falling_factorials = [[1]]
     rows = []
     for n in range(len(numbers)):
         weights = [comb(n, j) * numbers[n - j] for j in range(n + 1)]
         if falling:
-            acc: list[int] = []
-            for j in range(n, -1, -1):
-                acc = [a - j * b for a, b in zip([0] + acc, acc + [0])]
+            low = next((j for j, w in enumerate(weights) if w), n)
+            acc = [weights[n]]
+            for j in range(n - 1, low - 1, -1):
+                acc = _times_x_minus(j, acc)
                 acc[0] += weights[j]
-            weights = acc
+            while len(falling_factorials) <= low:
+                j = len(falling_factorials) - 1
+                falling_factorials.append(_times_x_minus(j, falling_factorials[j]))
+            weights = _convolve_ints(acc + [0] * low, falling_factorials[low]) if low else acc
         rows.append(_from_numerators(weights, den))
     return tuple(rows)
 

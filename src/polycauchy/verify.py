@@ -26,6 +26,7 @@ and keeps only the per-identity counts and the failures, which are all
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +36,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
-from .exact import UsageError, format_rational
+from .exact import UsageError, format_numerators, format_rational, unprintable_power
 from .poly import Polynomial, _exact
 from .series import InsufficientOrderError, TruncatedSeries, log1p_series
 
@@ -103,6 +104,13 @@ class GridConfig:
             )
         if self.k_range[0] > self.k_range[1]:
             raise GridConfigError("k range is empty")
+        # C_1^(k) = -2^(-k) is in the grid; refused here, it is never built.
+        k = max(self.k_range, key=abs)
+        if unprintable_power(k):
+            raise GridConfigError(
+                f"k={k} is too large: C_1^(k) = -2^(-k) has more than "
+                f"{sys.get_int_max_str_digits()} digits, so a failing check could not be printed"
+            )
         if self.r_range[0] > self.r_range[1] or self.r_range[0] < 0:
             raise GridConfigError("r range must be a non-empty range of non-negative integers")
         object.__setattr__(self, "lambdas", tuple(dict.fromkeys(map(_exact, self.lambdas))))
@@ -160,7 +168,7 @@ def _listify(side: str | tuple[str, ...] | None):
 
 def _serialize(value) -> str | tuple[str, ...]:
     if isinstance(value, (Polynomial, TruncatedSeries)):
-        return tuple(format_rational(c) for c in value.coeffs)
+        return tuple(format_numerators(value.nums, value.den))
     return format_rational(value)
 
 

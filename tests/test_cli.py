@@ -50,6 +50,26 @@ def test_gen_stirling_triangle(capsys):
     assert rows[4] == ["3", "0/1 2/1 -3/1 1/1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("stirling1",), ("bernoulli2",), ("bernoulli-order", "--alpha", "3"), ("narumi", "--a", "-2"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_printing_a_gen_table_builds_no_fraction(capsys, monkeypatch, argv, fmt):
+    # The first run fills the memos, so the second only reads and prints:
+    # every value goes to text straight from its integer numerators.
+    first = run_cli(capsys, "gen", *argv, "--n-max", "20", "--format", fmt)
+    built = []
+    original = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    assert run_cli(capsys, "gen", *argv, "--n-max", "20", "--format", fmt) == first
+    assert first[0] == 0 and built == []
+
+
 def test_gen_poly_json_k0(capsys):
     code, out, _ = run_cli(capsys, "gen", "polycauchy2-poly", "--k", "0", "--n-max", "2",
                            "--format", "json")
@@ -546,6 +566,28 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
                            "--identity", "thm7.falling-basis")
     assert code == 1
     assert "failures: 0" not in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k-min", "100000000000", "--k-max", "100000000000", "--n-max", "1",
+     "--identity", "thm1.numbers"),
+    ("--k-min", "20000", "--k-max", "20000", "--n-max", "1"),
+    ("--k-min", "-20000", "--k-max", "3", "--n-max", "1"),
+], ids=["huge-k", "k-20000", "k-minus-20000"])
+def test_verify_refuses_an_unprintable_k_from_its_size(argv):
+    # C_1^(k) = -2^(-k) could not be printed, so a failing row could not
+    # be either; 2^(10^11) would take about 12.5 GB to build.  A fresh
+    # interpreter, so that a traceback would show on stderr.
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polycauchy", "verify", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: k=") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "too large" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy import cli
-from polycauchy.exact import UnprintableRationalError, UsageError, format_rational, parse_rational
+from polycauchy.exact import (
+    UnprintableRationalError,
+    UsageError,
+    format_numerators,
+    format_rational,
+    parse_rational,
+)
 from polycauchy.sequences import TableLimitError, frobenius_euler_poly
 from polycauchy.verify import GridConfigError
 
@@ -71,6 +78,8 @@ def test_canonical_form_is_idempotent(num, den):
         (Fraction(7), "7/1"),
         (Fraction(0), "0/1"),
         (Fraction(1, 2), "1/2"),
+        (-4, "-4/1"),
+        (0, "0/1"),
     ],
 )
 def test_format(value, text):
@@ -81,6 +90,44 @@ def test_format(value, text):
 def test_format_refuses_values_past_the_digit_cap(value):
     with pytest.raises(UnprintableRationalError, match="too large to print"):
         format_rational(value)
+
+
+@given(st.lists(st.integers(-(10**30), 10**30)), st.integers(1, 10**30))
+def test_format_numerators_equals_format_rational(nums, den):
+    assert format_numerators(nums, den) == [format_rational(Fraction(v, den)) for v in nums]
+
+
+def test_format_numerators_of_zero_and_negatives():
+    assert format_numerators([0, -6, 4, -9, 12], 6) == ["0/1", "-1/1", "2/3", "-3/2", "2/1"]
+    assert format_numerators([], 5) == []
+
+
+def _refused(print_all):
+    try:
+        print_all()
+    except UnprintableRationalError:
+        return True
+    return False
+
+
+# Powers of ten on both sides, small or near the 640-digit limit, so that
+# reduction decides whether a numerator or a denominator passes it.
+exponent = st.integers(0, 40) | st.integers(600, 680)
+wide = st.builds(lambda m, e: m * 10**e, st.integers(-999, 999), exponent)
+wide_den = st.builds(lambda m, e: m * 10**e, st.integers(1, 999), exponent)
+
+
+@given(st.lists(wide, max_size=4), wide_den)
+def test_format_numerators_refuses_exactly_where_format_rational_does(nums, den):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        expected = _refused(lambda: [format_rational(Fraction(v, den)) for v in nums])
+        assert _refused(lambda: format_numerators(nums, den)) == expected
+        if not expected:
+            assert format_numerators(nums, den) == [format_rational(Fraction(v, den)) for v in nums]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("text, expected", [("-5/6", Fraction(-5, 6)), ("3", Fraction(3)), ("6/4", Fraction(3, 2))])

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from polycauchy.poly import Polynomial, X
+from polycauchy.poly import Polynomial, X, falling_factorial_value
 from polycauchy.sequences import (
     Stirling1Table,
     TableLimitError,
@@ -19,9 +19,10 @@ from polycauchy.sequences import (
     lif_series,
     narumi_poly,
     stirling1,
+    sheffer_rows,
     t_over_log1p_series,
 )
-from polycauchy.series import exp_series, log1p_series
+from polycauchy.series import TruncatedSeries, exp_series, log1p_series
 
 LAMBDAS = (F(-1), F(2), F(1, 2), F(-1, 3))
 
@@ -101,6 +102,36 @@ def test_stirling_recurrence_holds_across_table():
 @pytest.mark.parametrize("n", range(13))
 def test_stirling_falling_factorial_consistency(n):
     assert Polynomial(stirling1(n, l) for l in range(n + 1)) == falling_factorial_poly(n)
+
+
+def test_falling_rows_equal_the_products():
+    # m + 2 points fix a polynomial of degree at most m + 1.
+    for m in range(65):
+        p = falling_factorial_poly(m)
+        assert p.degree == m
+        for x in [*range(-1, m + 1), F(1, 2)]:
+            assert p(x) == falling_factorial_value(x, m), (m, x)
+
+
+@pytest.mark.parametrize("amplitude", [
+    [F(1), 0, 0, F(3, 2)], [F(2), 0, F(-1, 3), 0, 0, F(5)], [0, 0, F(1), F(4)], [F(1), F(1), 0, F(-7, 2)],
+])
+def test_falling_rows_with_zero_weights_equal_the_sum_over_the_basis(amplitude):
+    # Weights w_j = C(n,j) a_(n-j) with zeros below, between and above the
+    # lowest nonzero one; the reference multiplies (x - i) out term by term.
+    def falling(j):
+        p = Polynomial([1])
+        for i in range(j):
+            p = p * (X - i)
+        return p
+
+    rows = sheffer_rows(TruncatedSeries(amplitude), falling=True)
+    numbers = [factorial(m) * a for m, a in enumerate(amplitude)]
+    for n, row in enumerate(rows):
+        expected = Polynomial([0])
+        for j in range(n + 1):
+            expected = expected + binom(n, j) * numbers[n - j] * falling(j)
+        assert row == expected, n
 
 
 def test_stirling_generating_function_consistency():

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -205,3 +206,22 @@ def test_empty_identity_selection_is_refused():
     # that checked nothing.  None, not (), selects the whole catalog.
     with pytest.raises(GridConfigError, match="identity selection is empty"):
         GridConfig(identities=())
+
+
+def test_a_k_whose_c1_cannot_print_is_refused_from_its_size():
+    # C_1^(k) = -2^(-k) has more than 640 digits exactly from |k| = T, the
+    # bit length of 10^640; the larger |k| of the range decides.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        t = (10**640).bit_length()
+        assert len(str(2 ** (t - 1))) == 640
+        for k_range in [(0, t - 1), (-(t - 1), 3)]:
+            GridConfig(k_range=k_range)
+        for k_range in [(0, t), (-t, 3), (t, t + 5)]:
+            with pytest.raises(GridConfigError, match="too large"):
+                GridConfig(k_range=k_range)
+        sys.set_int_max_str_digits(0)
+        GridConfig(k_range=(10**11, 10**11))
+    finally:
+        sys.set_int_max_str_digits(limit)
