@@ -18,6 +18,11 @@ checks are made (``verify._Stream``), so its memory does not grow with the
 grid, and the ``--output`` file is opened before the first check.  A write
 error part-way through still exits 2, as does a grid found part-way through
 to need a deeper series; either may leave a partial ``--output`` file.
+``verify`` evaluates its grid on every usable CPU and writes the bytes of a
+one-CPU run (see ``verify``); CPU affinity (``taskset``) is the only
+control.  An error part-way there may leave a shorter partial file than one
+CPU would, since the other CPUs' checks are merged in only as the report
+reaches them.
 
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
@@ -41,7 +46,7 @@ import argparse
 import json
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from fractions import Fraction
 from itertools import chain, islice
 from math import comb, factorial
@@ -419,11 +424,11 @@ def _cmd_verify(args) -> int:
         "y_values": [format_rational(v) for v in config.y_values],
         "identities": list(config.identities) if config.identities else sorted(catalog_ids()),
     }
-    checks = _Stream(config)
     columns = ["identity", "params", "status", "lhs", "rhs"]
     meta = {"generated_at": datetime.now(timezone.utc).isoformat()}
-    rows = (check.row() for check in checks)
-    _emit(args, "verify", params, rows, columns, text=checks.text, meta=meta)
+    with closing(_Stream(config)) as checks:
+        rows = (check.row() for check in checks)
+        _emit(args, "verify", params, rows, columns, text=checks.text, meta=meta)
     return 0 if not checks.failures else 1
 
 

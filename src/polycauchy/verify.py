@@ -22,13 +22,23 @@ lists them in).  So ``_checks`` is a generator of the report in its final
 order.  ``run_suite`` collects it; ``_Stream`` hands it to the CLI's sink
 and keeps only the per-identity counts and the failures, which are all
 ``_summary_text`` and the exit code need.
+
+The grid is evaluated on every usable CPU.  ``_checks`` cuts the grid's k
+values into contiguous ranges, one per CPU and no more than there are k
+values, and forks a child for each range but the first (``workers``).  The
+parent makes the first range and every identity with no ``k`` parameter,
+and merges each identity's checks back by grid point, so a report is
+byte-identical to a one-CPU run.  CPU affinity (``taskset``) is the only control: a process
+allowed one CPU, a platform without ``os.fork`` or a process with another
+live thread runs everything in one process.  A child's memo hits and spans
+stay in the child.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -496,21 +506,75 @@ def catalog_ids() -> tuple[str, ...]:
     return tuple(_IDENTITIES)
 
 
+def _evaluated(identity: str, cfg: GridConfig) -> Iterator[Check]:
+    """The checks of one identity over ``cfg``, in canonical order."""
+    info, evaluate = _IDENTITIES[identity]
+    try:
+        for values, lhs, rhs in evaluate(cfg):
+            params = tuple(zip(info.params, values, strict=True))
+            yield _check(identity, params, lhs, rhs)
+    except InsufficientOrderError as exc:
+        raise GridConfigError(
+            f"identity {identity} needs truncation order >= {exc.required}, "
+            f"got {exc.order}"
+        ) from exc
+
+
+def _has_k(identity: str) -> bool:
+    return "k" in _IDENTITIES[identity][0].params
+
+
+def _k_slices(cfg: GridConfig, selected: Sequence[str]) -> list[GridConfig]:
+    """``cfg`` cut into one contiguous k range per worker process, as many
+    as ``workers.usable()`` allows but no more than k values; the whole
+    ``cfg`` when no selected identity reads k.  The first slice is the
+    parent's, which also makes the k-free identities and writes the report,
+    so it is never larger than another."""
+    ks = cfg.ks
+    if len(ks) == 1 or not any(map(_has_k, selected)):
+        return [cfg]
+    from .workers import usable
+
+    count = min(usable(), len(ks))
+    cuts = [ks.start + len(ks) * index // count for index in range(count + 1)]
+    return [replace(cfg, k_range=(lo, hi - 1)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _grid_point(check: Check) -> tuple:
+    return tuple(value for _, value in check.params)
+
+
 def _checks(cfg: GridConfig) -> Iterator[Check]:
     """Evaluate the selected identities at every grid point of ``cfg``,
-    yielding each check as it is made, in canonical order."""
+    yielding each check as it is made, in canonical order.
+
+    With more than one k slice (``_k_slices``), a forked child makes each
+    slice but the first (``workers.Forked``), and the checks of each
+    identity are merged back by grid point.  Every evaluator yields in
+    increasing parameter order and the slices differ in k, so the merge
+    gives the one-worker order.  Every child is killed, if still running,
+    and reaped when the generator ends, raises or is closed."""
     selected = cfg.identities if cfg.identities is not None else sorted(catalog_ids())
-    for identity in selected:
-        info, evaluate = _IDENTITIES[identity]
-        try:
-            for values, lhs, rhs in evaluate(cfg):
-                params = tuple(zip(info.params, values, strict=True))
-                yield _check(identity, params, lhs, rhs)
-        except InsufficientOrderError as exc:
-            raise GridConfigError(
-                f"identity {identity} needs truncation order >= {exc.required}, "
-                f"got {exc.order}"
-            ) from exc
+    slices = _k_slices(cfg, selected)
+    if len(slices) == 1:
+        for identity in selected:
+            yield from _evaluated(identity, cfg)
+        return
+    import heapq
+
+    from .workers import Forked
+
+    def sections(part: GridConfig):
+        return (_evaluated(identity, part) for identity in filter(_has_k, selected))
+
+    with Forked(slices[1:], sections, _RUN) as children:
+        own = [slices[0], *children.unforked]
+        for identity in selected:
+            if _has_k(identity):
+                yield from heapq.merge(*(_evaluated(identity, part) for part in own),
+                                       *children.next_section(), key=_grid_point)
+            else:
+                yield from _evaluated(identity, cfg)
 
 
 # A sink encodes the rows of each run before the next run is made.  Making a
@@ -543,6 +607,10 @@ class _Stream:
         for _ in self:
             pass
         return _summary_text(self.counts, self.failures)
+
+    def close(self) -> None:
+        """Stop making checks; any worker process is ended and reaped."""
+        self._made.close()
 
 
 def run_suite(config: GridConfig | None = None) -> VerificationReport:

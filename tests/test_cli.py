@@ -414,9 +414,11 @@ def test_verify_csv_bytes_do_not_depend_on_lambda_order(capsys):
     assert first and first == second
 
 
-def test_verify_peak_memory_does_not_grow_with_the_grid(tmp_path):
-    # Many cheap checks each: the peak of a run that kept its checks or rows
-    # grows by about 0.8 MB from n <= 6 to n <= 12 on these identities.
+def _verify_peaks(tmp_path, monkeypatch, workers):
+    """tracemalloc peaks of this process over a verify run at n <= 6 and at
+    n <= 12, with ``workers`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
     target = str(tmp_path / "report.json")
     argv = ["verify", "--identity", "thm1.coeff", "--identity", "thm4.general",
             "--identity", "eq34.addition", "--format", "json", "--output", target]
@@ -430,6 +432,23 @@ def test_verify_peak_memory_does_not_grow_with_the_grid(tmp_path):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_verify_peak_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
+    # Many cheap checks each: the peak of a run that kept its checks or rows
+    # grows by about 0.8 MB from n <= 6 to n <= 12 on these identities.
+    # One worker keeps every evaluator in this process, where tracemalloc
+    # sees it; a forked worker's allocations are invisible to it.
+    peaks = _verify_peaks(tmp_path, monkeypatch, 1)
+    assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
+
+
+def test_verify_parent_peak_memory_does_not_grow_with_the_grid_on_two_workers(
+        tmp_path, monkeypatch):
+    # A forked child makes the checks of k >= 0; this process, which makes
+    # the rest and merges and writes them all, must not grow either.
+    peaks = _verify_peaks(tmp_path, monkeypatch, 2)
     assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
 
 
