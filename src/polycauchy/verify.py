@@ -28,10 +28,11 @@ values into contiguous ranges, one per CPU and no more than there are k
 values, and forks a child for each range but the first (``workers``).  The
 parent makes the first range and every identity with no ``k`` parameter,
 and merges each identity's checks back by grid point, so a report is
-byte-identical to a one-CPU run.  CPU affinity (``taskset``) is the only control: a process
-allowed one CPU, a platform without ``os.fork`` or a process with another
-live thread runs everything in one process.  A child's memo hits and spans
-stay in the child.
+byte-identical to a one-CPU run.  CPU affinity (``taskset``) is the only
+control: a process allowed one CPU, a platform without ``os.fork``, a
+process with another live thread or one with ``SIGCHLD`` ignored runs
+everything in one process.  A child's memo hits and spans stay in the
+child.
 """
 
 from __future__ import annotations
@@ -524,18 +525,14 @@ def _has_k(identity: str) -> bool:
     return "k" in _IDENTITIES[identity][0].params
 
 
-def _k_slices(cfg: GridConfig, selected: Sequence[str]) -> list[GridConfig]:
-    """``cfg`` cut into one contiguous k range per worker process, as many
-    as ``workers.usable()`` allows but no more than k values; the whole
-    ``cfg`` when no selected identity reads k.  The first slice is the
-    parent's, which also makes the k-free identities and writes the report,
-    so it is never larger than another."""
+def _k_slices(cfg: GridConfig, selected: Sequence[str], cpus: int) -> list[GridConfig]:
+    """``cfg`` cut into one contiguous k range per worker process, one per
+    CPU of ``cpus`` but no more than k values; one range when no selected
+    identity reads k.  The first slice is the parent's, which also makes
+    the k-free identities and writes the report, so it is never larger than
+    another."""
     ks = cfg.ks
-    if len(ks) == 1 or not any(map(_has_k, selected)):
-        return [cfg]
-    from .workers import usable
-
-    count = min(usable(), len(ks))
+    count = min(cpus, len(ks)) if any(map(_has_k, selected)) else 1
     cuts = [ks.start + len(ks) * index // count for index in range(count + 1)]
     return [replace(cfg, k_range=(lo, hi - 1)) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -548,21 +545,19 @@ def _checks(cfg: GridConfig) -> Iterator[Check]:
     """Evaluate the selected identities at every grid point of ``cfg``,
     yielding each check as it is made, in canonical order.
 
-    With more than one k slice (``_k_slices``), a forked child makes each
-    slice but the first (``workers.Forked``), and the checks of each
-    identity are merged back by grid point.  Every evaluator yields in
-    increasing parameter order and the slices differ in k, so the merge
-    gives the one-worker order.  Every child is killed, if still running,
-    and reaped when the generator ends, raises or is closed."""
-    selected = cfg.identities if cfg.identities is not None else sorted(catalog_ids())
-    slices = _k_slices(cfg, selected)
-    if len(slices) == 1:
-        for identity in selected:
-            yield from _evaluated(identity, cfg)
-        return
+    A forked child makes each k slice (``_k_slices``) but the first
+    (``workers.Forked``), and the checks of each identity are merged back
+    by grid point.  Every evaluator yields in increasing parameter order and
+    the slices differ in k, so the merge gives the one-worker order; with
+    one slice it yields straight from the parent's evaluator.  Every child
+    is killed, if still running, and reaped when the generator ends, raises
+    or is closed."""
     import heapq
 
-    from .workers import Forked
+    from .workers import Forked, usable
+
+    selected = cfg.identities if cfg.identities is not None else sorted(catalog_ids())
+    slices = _k_slices(cfg, selected, usable())
 
     def sections(part: GridConfig):
         return (_evaluated(identity, part) for identity in filter(_has_k, selected))

@@ -9,9 +9,8 @@ sent in place of the rest and ends the child; one that would not unpickle is
 sent as a ``RuntimeError`` with its message.  A child leaves through
 ``os._exit`` and never returns into its caller's code.
 
-Only ``verify`` uses this module, and only on a grid it could split;
-``pickle`` is loaded only once a child is forked, so a run on one CPU and
-every other command never load it.
+Only ``verify`` uses this module.  ``pickle`` is loaded only once a child
+is forked, so a run on one CPU and every other command never load it.
 """
 
 from __future__ import annotations
@@ -25,9 +24,12 @@ from typing import Callable, Iterable, Iterator
 
 def usable() -> int:
     """How many processes, this one included, may work at once: the CPUs
-    this process may run on, or 1 without ``os.fork`` or with another live
-    thread, since a forked child would inherit only the calling thread."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    this process may run on, or 1 without ``os.fork``, with another live
+    thread, since a forked child would inherit only the calling thread, or
+    with ``SIGCHLD`` ignored, since the kernel would then reap a child
+    before ``close`` could, and its pid might name another process."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN):
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -81,8 +83,14 @@ class Forked:
             reader.close()
         while self._pids:
             pid = self._pids.pop()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:
+                # An unreaped child keeps its pid, so the kill cannot reach
+                # another process.
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, as with SIGCHLD ignored
+                pass
 
     def __enter__(self) -> Forked:
         return self

@@ -133,33 +133,62 @@ def test_a_slice_that_cannot_fork_is_made_in_the_parent(capsys, monkeypatch):
     assert_no_child()
 
 
-def test_only_a_split_run_loads_pickle_and_heapq():
-    # A fresh interpreter: importing verify, or running it on one CPU, loads
-    # neither, so neither costs start-up time or memory there.
-    code = (
-        "import os, sys\n"
-        "from polycauchy import cli, verify\n"
-        "def loaded():\n"
-        "    print([m for m in ('pickle', 'heapq', 'polycauchy.workers') if m in sys.modules])\n"
-        "loaded()\n"
-        "os.sched_getaffinity = lambda pid: {0}\n"
-        "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
-        "loaded()\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
-        "loaded()\n"
-    )
+def fresh_interpreter(code):
+    """Stdout of ``code`` run by a fresh interpreter that imports this
+    package; the run must succeed."""
     package_root = str(Path(verify.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]",
-        "['polycauchy.workers']",
-        "['pickle', 'heapq', 'polycauchy.workers']",
-    ]
+    return proc.stdout
+
+
+def test_only_a_forked_run_loads_pickle():
+    # Importing verify, or running it on one CPU, does not load pickle, so it
+    # costs neither start-up time nor memory there.
+    out = fresh_interpreter(
+        "import os, sys\n"
+        "from polycauchy import cli, verify\n"
+        "print('pickle' in sys.modules)\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
+        "print('pickle' in sys.modules)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
+        "print('pickle' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["False", "False", "True"]
+
+
+def test_verify_with_sigchld_ignored_runs_in_one_process(capsys, monkeypatch):
+    # With SIGCHLD ignored the kernel reaps a child on its own, so verify
+    # forks none and writes the whole report with its exit code.
+    one = report(capsys, monkeypatch, 1, "--n-max", "3", "--format", "csv")
+    out = fresh_interpreter(
+        "import os, signal, sys\n"
+        "from polycauchy import cli\n"
+        "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "def no_fork():\n"
+        "    raise AssertionError('forked')\n"
+        "os.fork = no_fork\n"
+        "code = cli.main(['verify', '--n-max', '3', '--format', 'csv'])\n"
+        "print(code)\n"
+    )
+    assert out == one[1] + "0\n"
+
+
+def test_close_copes_with_a_child_the_kernel_reaped():
+    out = fresh_interpreter(
+        "import signal\n"
+        "from polycauchy.workers import Forked\n"
+        "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+        "with Forked([3, 4], lambda part: [range(part)], 2) as children:\n"
+        "    print([list(items) for items in children.next_section()])\n"
+    )
+    assert out == "[[0, 1, 2], [0, 1, 2, 3]]\n"
 
 
 # ---------------------------------------------------------------------------
