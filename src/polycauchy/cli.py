@@ -36,8 +36,10 @@ raised in whichever layer finds it; ``main`` alone turns it, or an
 ``OSError``, into exit 2.  The size flags ``gen --n-max``, ``expand --n``
 and ``series --order`` share one cap, the Stirling table's
 ``DEFAULT_STIRLING_LIMIT`` (64), and are checked before any work.  The order
-k is uncapped; a huge |k| and a ``polycauchy-gf`` coefficient too wide to
-print are refused from sizes alone, before the value is built.
+k is uncapped; a huge |k|, a ``polycauchy-gf`` coefficient and the last row
+of a ``gen polycauchy2-*`` table too wide to print are refused from sizes
+alone, before the value is built.  Below those bounds ``gen polycauchy2-*``
+builds and formats its last row before the rows under it.
 """
 
 from __future__ import annotations
@@ -92,28 +94,32 @@ def _refuse_unprintable_k(k: int, times: int = 1, shift: Fraction | int = 0) -> 
     format_rational(times * Fraction(2) ** -k + shift)
 
 
-def _refuse_unprintable_gf_coefficient(n: int, k: int) -> None:
-    """Refuse C_n^(k)/n! from a lower bound on its reduced denominator,
-    before the closed form is summed; below the bound nothing is decided.
+def _refuse_unprintable_gf_coefficient(n: int, k: int, over_factorial: bool = True) -> None:
+    """Refuse C_n^(k)/n!, or C_n^(k) itself when ``over_factorial`` is
+    false, from a lower bound on its reduced denominator, before the closed
+    form is summed; below the bound nothing is decided.
 
     For k > 0, a prime p with (n+1)/2 < p <= n+1 divides exactly one of
     1..n+1, so in C_n^(k) = sum_m S1(n,m) (-1)^m / (m+1)^k only the term
     m = p-1 has p in its denominator.  When v = v_p(S1(n, p-1)) < k, the
-    sum has p-adic valuation v - k, and p^(k - v + v_p(n!)) divides the
-    reduced denominator of C_n^(k)/n!."""
+    sum has p-adic valuation v - k, so p^(k - v) divides the reduced
+    denominator of C_n^(k), and p^(k - v + v_p(n!)) that of C_n^(k)/n!."""
     limit = sys.get_int_max_str_digits()
     if not limit or k <= 0:
         return
-    bound = 1
+    bound, cap = 1, 10**limit
     for p in range(max(2, (n + 1) // 2 + 1), n + 2):
         if all(p % d for d in range(2, p)):
             s, v = seq.stirling1(n, p - 1), 0
             while s % p == 0:
                 s, v = s // p, v + 1
             if v < k:
-                bound *= p ** (k - v + (p <= n))
-    if bound >= 10**limit:
-        raise UnprintableRationalError()
+                bound *= p ** (k - v + (over_factorial and p <= n))
+                # Refused as soon as it is past the cap: at n = 64 and k near
+                # 14000 the whole product took about 50 ms, one factor 1 ms
+                # (2-vCPU host, Python 3.11).
+                if bound >= cap:
+                    raise UnprintableRationalError()
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -360,9 +366,14 @@ def _cmd_gen(args) -> int:
         if given is None:
             raise UsageError(f"sequence {name!r} requires {flag}")
         params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
+    ns = range(args.n_max + 1)
     if name.startswith("polycauchy2-") and args.n_max >= 1:
         _refuse_unprintable_k(args.k)
-    rows = [{"n": n, column: value(args, n)} for n in range(args.n_max + 1)]
+        # The last row holds C_N^(k): refused from a bound on its reduced
+        # denominator, or built and formatted before the rows below it.
+        _refuse_unprintable_gf_coefficient(args.n_max, args.k, over_factorial=False)
+        ns = [args.n_max, *ns[:-1]]
+    rows = sorted(({"n": n, column: value(args, n)} for n in ns), key=lambda row: row["n"])
     _emit(args, "gen", params, rows, ["n", column])
     return 0
 

@@ -25,7 +25,9 @@ the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
 1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r whose
 numerator is ``_stirling_convolution``, sum_j C(n,j) S1(j,m) g(n-j) in ints.
 Theorem 4's left side is that helper over the numbers, its right side one
-``linear_combination`` of closed polynomials read at x = -1; the addition
+``linear_combination`` of closed polynomials read at x = -1.  Its corrected
+m = 1 case is summed on its own, over the numbers with no Stirling number,
+so it checks the erratum rather than Theorem 4 again.  The addition
 formula's weights are int products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
@@ -302,10 +304,15 @@ def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
     """The m = 1 contraction with the corrected left-hand index n-1:
 
     C_{n-1}^(k-1)(-1) = sum_{l=0}^{n-1} (-1)^l l! C(n,l+1) C_{n-l-1}^(k)
-    """
+
+    computed as it reads, not through ``theorem4_sides``: the left side is
+    the closed polynomial at x = -1, the right side a sum in ints over
+    C_0^(k)..C_{n-1}^(k) taken over their lcm, with no Stirling number."""
     if n < 1:
         raise ValueError("the m = 1 contraction needs n >= 1")
-    return theorem4_sides(n, 1, k)
+    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n)])
+    total = sum(_sign(l) * factorial(l) * comb(n, l + 1) * numbers[n - l - 1] for l in range(n))
+    return poly_closed(n - 1, k - 1)(-1), Fraction(total, den)
 
 
 def derivative_formula(n: int, k: int) -> Polynomial:

@@ -1,11 +1,16 @@
 """Executable identity suites over a parameter grid, with exact reports.
 
 Each identity is declared once, by the ``@_identity(id, statement,
-location, params)`` decorator on its evaluator.  The decorator registers
-the catalog entry and the evaluator together, in catalog order; the
-evaluator yields ``(values, lhs, rhs)`` per grid point, with ``values`` in
-the order of ``params``, and ``_checks`` names the values and compares the
-sides.
+location, *axes)`` decorator on its ``sides`` function.  An axis is a name
+and a function giving its values from the ``GridConfig`` and the values of
+the axes before it, so n, k, r, lambda and y read the grid and j, m in 1..n
+read n.  The named axes are the identity's ``params``.  An axis named None
+binds one value per prefix of the point that is not a parameter, such as
+the weights ``thm5.weights-3way`` reads off one series power per r.  The
+decorator registers the catalog entry and an evaluator, in catalog order:
+one driver, ``_points``, walks the axes, ``sides(*point)`` returns
+``(lhs, rhs)`` at each point, and ``_checks`` names the values and
+compares the sides.
 
 Every identity in the catalog is evaluated as a structural equality of
 canonical values (rationals, polynomials or series) over a configured grid;
@@ -16,12 +21,12 @@ then by parameter tuple, and two runs with the same configuration serialize
 to identical bytes (timestamps, if wanted, belong in separate metadata).
 
 That order is produced, not sorted into: identities run in id order, and
-every evaluator yields its grid points in increasing parameter order
-(numbers before strings, grid values sorted whatever order the config
-lists them in).  So ``_checks`` is a generator of the report in its final
-order.  ``run_suite`` collects it; ``_Stream`` hands it to the CLI's sink
-and keeps only the per-identity counts and the failures, which are all
-``_summary_text`` and the exit code need.
+the driver yields every identity's points in increasing parameter order,
+each axis's values sorted whatever order the config lists them in (an axis
+holds numbers or strings, never both).  So ``_checks`` is a generator of
+the report in its final order.  ``run_suite`` collects it; ``_Stream``
+hands it to the CLI's sink and keeps only the per-identity counts and the
+failures, which are all ``_summary_text`` and the exit code need.
 
 The grid is evaluated on every usable CPU.  ``_checks`` cuts the grid's k
 values into contiguous ranges, one per CPU and no more than there are k
@@ -41,9 +46,11 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from itertools import accumulate, compress, islice
 from math import factorial
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import second_kind as sk
 from . import sequences as seq
@@ -233,269 +240,206 @@ def _summary_text(counts: Mapping[str, int], failures: Sequence[Check]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Identity evaluators
+# Identities: declared axes and sides
 
 Evaluator = Callable[[GridConfig], Iterator[tuple[tuple, object, object]]]
+# An axis is its parameter name and its values, given the config and the
+# values of the axes before it.  An axis named None is not a parameter: its
+# one value is bound once per prefix and shared by every point below it.
+Axis = tuple[str | None, Callable[..., Iterable]]
 
 _IDENTITIES: dict[str, tuple[IdentityInfo, Evaluator]] = {}
 
 
-def _identity(id: str, statement: str, location: str, params: tuple[str, ...]):
-    """Register the decorated evaluator as identity ``id``, in catalog order.
+def _points(cfg: GridConfig, axes: Sequence[Axis]) -> Iterator[tuple]:
+    """Every point of ``axes``, in increasing order: each axis's values are
+    sorted, whatever order the config lists them in."""
+    points: Iterator[tuple] = iter([()])
+    for _, values in axes:
+        points = _extended(cfg, points, values)
+    return points
 
-    The evaluator yields ``(values, lhs, rhs)`` for each grid point, with
-    ``values`` in the order of ``params``."""
 
-    def register(evaluate: Evaluator) -> Evaluator:
-        _IDENTITIES[id] = (IdentityInfo(id, statement, location, params), evaluate)
-        return evaluate
+def _extended(cfg: GridConfig, points: Iterator[tuple],
+              values: Callable[..., Iterable]) -> Iterator[tuple]:
+    """Each of ``points`` followed by each of its values on one more axis."""
+    for point in points:
+        for value in sorted(values(cfg, *point)):
+            yield (*point, value)
+
+
+def _identity(id: str, statement: str, location: str, *axes: Axis):
+    """Register the decorated ``sides`` as identity ``id``, in catalog order.
+
+    ``sides(*point)`` returns ``(lhs, rhs)`` at one point of ``axes``; the
+    named axes are the identity's parameters, in order."""
+    params = tuple(name for name, _ in axes if name is not None)
+
+    def register(sides: Callable[..., tuple]) -> Callable[..., tuple]:
+        info = IdentityInfo(id, statement, location, params)
+        _IDENTITIES[id] = (info, partial(_evaluate, axes, sides))
+        return sides
 
     return register
 
 
-@_identity(
-    "thm1.coeff",
-    "sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m)/(m-j+1)^k"
-    " = sum_{l=j-1}^{n-1} (-1)^(l+1-j) C(n-1,l) C(l+1,j) B_{n-1-l}^{(n)}/(l+2-j)^k",
-    "Theorem 1",
-    ("n", "j", "k"),
-)
-def _eval_thm1_coeff(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for j in range(1, n + 1):
-            for k in cfg.ks:
-                lhs = sk.closed_coefficient(n, j, k)
-                yield (n, j, k), lhs, sk.theorem1_rhs_coefficient(n, j, k)
+def _evaluate(axes: Sequence[Axis], sides: Callable[..., tuple], cfg: GridConfig):
+    """``(values, lhs, rhs)`` at every point of ``axes``, with ``values``
+    those of the named axes."""
+    named = [name is not None for name, _ in axes]
+    for point in _points(cfg, axes):
+        yield tuple(compress(point, named)), *sides(*point)
 
 
-@_identity(
-    "thm1.numbers",
-    "C_n^(k) = sum_m S1(n,m)(-1)^m/(m+1)^k"
-    " = sum_l (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)}/(l+2)^k",
-    "Theorem 1",
-    ("n", "k"),
-)
-def _eval_thm1_numbers(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), sk.number_closed(n, k), sk.number_bernoulli_form(n, k)
+_N0 = ("n", lambda cfg, *_: range(cfg.n_max + 1))
+_N1 = ("n", lambda cfg, *_: range(1, cfg.n_max + 1))
+_J = ("j", lambda cfg, n, *_: range(1, n + 1))
+_M = ("m", lambda cfg, n, *_: range(1, n + 1))
+_K = ("k", lambda cfg, *_: cfg.ks)
+_R = ("r", lambda cfg, *_: cfg.rs)
+_LAMBDA = ("lambda", lambda cfg, *_: cfg.lambdas)
+_Y = ("y", lambda cfg, *_: cfg.y_values)
 
 
-@_identity(
-    "eq5.k1-reduction",
-    "C_n^(1)(x) = b_n(x-1) = B_n^{(n)}(x)",
-    "Equation (5)",
-    ("n", "form"),
-)
-def _eval_k1_reduction(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        lhs = sk.poly_closed(n, 1)
-        yield (n, "bernoulli2-shift"), lhs, seq.bernoulli_2nd_poly(n).shift(-1)
-        yield (n, "high-order-bernoulli"), lhs, seq.bernoulli_high_order_poly(n, n)
+@_identity("thm1.coeff", "sum_{m=j}^{n} (-1)^(m-j) C(m,j) S1(n,m)/(m-j+1)^k"
+           " = sum_{l=j-1}^{n-1} (-1)^(l+1-j) C(n-1,l) C(l+1,j) B_{n-1-l}^{(n)}/(l+2-j)^k",
+           "Theorem 1", _N1, _J, _K)
+def _thm1_coeff(n, j, k):
+    return sk.closed_coefficient(n, j, k), sk.theorem1_rhs_coefficient(n, j, k)
 
 
-@_identity("k0-reduction", "C_n^(0)(x) = (x-1)_n", "Equation (3) at k = 0", ("n",))
-def _eval_k0_reduction(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        yield (n,), sk.poly_closed(n, 0), seq.falling_factorial_poly(n).shift(-1)
+@_identity("thm1.numbers", "C_n^(k) = sum_m S1(n,m)(-1)^m/(m+1)^k"
+           " = sum_l (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)}/(l+2)^k", "Theorem 1", _N1, _K)
+def _thm1_numbers(n, k):
+    return sk.number_closed(n, k), sk.number_bernoulli_form(n, k)
 
 
-@_identity(
-    "eq34.addition",
-    "C_n^(k)(x+y) = sum_j C(n,j) C_j^(k)(x) (y)_{n-j}",
-    "Equation (34)",
-    ("n", "k", "y"),
-)
-def _eval_addition(cfg: GridConfig):
-    ys = sorted(cfg.y_values)
-    for n in range(cfg.n_max + 1):
-        for k in cfg.ks:
-            shifted_source = sk.poly_closed(n, k)
-            for y in ys:
-                yield (n, k, y), shifted_source.shift(y), sk.addition_rhs(n, k, y)
+@_identity("eq5.k1-reduction", "C_n^(1)(x) = b_n(x-1) = B_n^{(n)}(x)", "Equation (5)",
+           _N0, ("form", lambda cfg, n: ("bernoulli2-shift", "high-order-bernoulli")))
+def _k1_reduction(n, form):
+    if form == "bernoulli2-shift":
+        return sk.poly_closed(n, 1), seq.bernoulli_2nd_poly(n).shift(-1)
+    return sk.poly_closed(n, 1), seq.bernoulli_high_order_poly(n, n)
 
 
-@_identity(
-    "difference",
-    "C_n^(k)(x+1) - C_n^(k)(x) = n C_{n-1}^(k)(x)",
-    "display after Equation (34)",
-    ("n", "k"),
-)
-def _eval_difference(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), *sk.difference_sides(n, k)
+@_identity("k0-reduction", "C_n^(0)(x) = (x-1)_n", "Equation (3) at k = 0", _N0)
+def _k0_reduction(n):
+    return sk.poly_closed(n, 0), seq.falling_factorial_poly(n).shift(-1)
 
 
-@_identity(
-    "thm2.recurrence",
-    "C_{n+1}^(k)(x) = x C_n^(k)(x-1)"
-    " - sum_j {sum_l S1(n,l)(-1)^(l-j) C(l,j)/(l-j+2)^k} (x-1)^j",
-    "Theorem 2",
-    ("n", "k"),
-)
-def _eval_thm2(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), sk.recurrence_theorem2_rhs(n, k), sk.poly_closed(n + 1, k)
+@_identity("eq34.addition", "C_n^(k)(x+y) = sum_j C(n,j) C_j^(k)(x) (y)_{n-j}",
+           "Equation (34)", _N0, _K, _Y)
+def _addition(n, k, y):
+    return sk.poly_closed(n, k).shift(y), sk.addition_rhs(n, k, y)
 
 
-@_identity(
-    "thm3.recurrence",
-    "C_n^(k)(x) = x C_{n-1}^(k)(x-1)"
-    " + (1/n) sum_l C(n,l) B_l^{(l)}(1) {C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1)}",
-    "Theorem 3",
-    ("n", "k"),
-)
-def _eval_thm3(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), sk.recurrence_theorem3_rhs(n, k), sk.poly_closed(n, k)
+@_identity("difference", "C_n^(k)(x+1) - C_n^(k)(x) = n C_{n-1}^(k)(x)",
+           "display after Equation (34)", _N1, _K)
+def _difference(n, k):
+    return sk.difference_sides(n, k)
 
 
-@_identity(
-    "eq39.lif-derivative",
-    "t Lif_k'(t) = Lif_{k-1}(t) - Lif_k(t)",
-    "Equation (39)",
-    ("k",),
-)
-def _eval_lif_derivative(cfg: GridConfig):
+@_identity("thm2.recurrence", "C_{n+1}^(k)(x) = x C_n^(k)(x-1)"
+           " - sum_j {sum_l S1(n,l)(-1)^(l-j) C(l,j)/(l-j+2)^k} (x-1)^j", "Theorem 2", _N0, _K)
+def _thm2(n, k):
+    return sk.recurrence_theorem2_rhs(n, k), sk.poly_closed(n + 1, k)
+
+
+@_identity("thm3.recurrence", "C_n^(k)(x) = x C_{n-1}^(k)(x-1)"
+           " + (1/n) sum_l C(n,l) B_l^{(l)}(1) {C_{n-l}^(k-1)(x-1) - C_{n-l}^(k)(x-1)}",
+           "Theorem 3", _N1, _K)
+def _thm3(n, k):
+    return sk.recurrence_theorem3_rhs(n, k), sk.poly_closed(n, k)
+
+
+@_identity("eq39.lif-derivative", "t Lif_k'(t) = Lif_{k-1}(t) - Lif_k(t)", "Equation (39)", _K)
+def _lif_derivative(k):
     order = LIF_DERIVATIVE_ORDER
-    for k in cfg.ks:
-        lhs = seq.lif_series(k, order).derivative().multiply_by_t()
-        rhs = seq.lif_series(k - 1, order) - seq.lif_series(k, order)
-        yield (k,), lhs, rhs
+    lhs = seq.lif_series(k, order).derivative().multiply_by_t()
+    return lhs, seq.lif_series(k - 1, order) - seq.lif_series(k, order)
 
 
-@_identity(
-    "thm4.general",
-    "sum_l m! C(n,l+m) S1(l+m,m) C_{n-l-m}^(k)"
-    " = sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)"
-    " {(m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1)}",
-    "Theorem 4",
-    ("n", "m", "k"),
-)
-def _eval_thm4_general(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for m in range(1, n + 1):
-            for k in cfg.ks:
-                yield (n, m, k), *sk.theorem4_sides(n, m, k)
+@_identity("thm4.general", "sum_l m! C(n,l+m) S1(l+m,m) C_{n-l-m}^(k)"
+           " = sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)"
+           " {(m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1)}", "Theorem 4", _N1, _M, _K)
+def _thm4_general(n, m, k):
+    return sk.theorem4_sides(n, m, k)
 
 
-@_identity(
-    "thm4.m1-corrected",
-    "C_{n-1}^(k-1)(-1) = sum_{l=0}^{n-1} (-1)^l l! C(n,l+1) C_{n-l-1}^(k)",
-    "Theorem 4, m = 1 case with the left index corrected to n-1",
-    ("n", "k"),
-)
-def _eval_thm4_m1(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), *sk.theorem4_m1_corrected_sides(n, k)
+@_identity("thm4.m1-corrected",
+           "C_{n-1}^(k-1)(-1) = sum_{l=0}^{n-1} (-1)^l l! C(n,l+1) C_{n-l-1}^(k)",
+           "Theorem 4, m = 1 case with the left index corrected to n-1", _N1, _K)
+def _thm4_m1(n, k):
+    return sk.theorem4_m1_corrected_sides(n, k)
 
 
-@_identity(
-    "eq47.derivative",
-    "d/dx C_n^(k)(x) = (-1)^n n! sum_{l<n} (-1)^(l-1)/((n-l) l!) C_l^(k)(x)",
-    "remark after Equation (47)",
-    ("n", "k"),
-)
-def _eval_derivative(cfg: GridConfig):
-    for n in range(1, cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), sk.derivative_formula(n, k), sk.poly_closed(n, k).derivative()
+@_identity("eq47.derivative",
+           "d/dx C_n^(k)(x) = (-1)^n n! sum_{l<n} (-1)^(l-1)/((n-l) l!) C_l^(k)(x)",
+           "remark after Equation (47)", _N1, _K)
+def _derivative(n, k):
+    return sk.derivative_formula(n, k), sk.poly_closed(n, k).derivative()
 
 
-@_identity(
-    "thm5.bernoulli-basis",
-    "C_n^(k)(x) = sum_m C_{n,m} B_m^{(r)}(x), C_{n,m} the Stirling/weight double sum",
-    "Theorem 5",
-    ("n", "k", "r"),
-)
-def _eval_thm5_basis(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        for k in cfg.ks:
-            for r in cfg.rs:
-                matrix = sk.connection_to_bernoulli(n, k, r)
-                yield (n, k, r), matrix.reconstruct(), sk.poly_closed(n, k)
+@_identity("thm5.bernoulli-basis",
+           "C_n^(k)(x) = sum_m C_{n,m} B_m^{(r)}(x), C_{n,m} the Stirling/weight double sum",
+           "Theorem 5", _N0, _K, _R)
+def _thm5_basis(n, k, r):
+    return sk.connection_to_bernoulli(n, k, r).reconstruct(), sk.poly_closed(n, k)
 
 
-@_identity(
-    "thm5.weights-3way",
-    "B_a^{(a-r+1)}(1) = N_a^{(-r)}(0) = multinomial convolution of b-numbers"
-    " = a![t^a](t/log(1+t))^r",
-    "Equations (50), (52) and (54)",
-    ("r", "a", "route"),
-)
-def _eval_thm5_weights(cfg: GridConfig):
-    routes = sorted(sk.WeightRoute, key=lambda route: route.value)
-    for r in cfg.rs:
-        power = seq.t_over_log1p_series(cfg.n_max + 1) ** r
-        for a in range(cfg.n_max + 1):
-            oracle = power.sequence_value(a)
-            for route in routes:
-                yield (r, a, route.value), sk.bernoulli2nd_power_weight(a, r, route), oracle
+_ROUTES = {route.value: route for route in sk.WeightRoute}
 
 
-@_identity(
-    "thm6.frobenius-basis",
-    "C_n^(k)(x) = sum_m C_{n,m} H_m^{(r)}(x|lambda)",
-    "Theorem 6",
-    ("n", "k", "r", "lambda"),
-)
-def _eval_thm6_basis(cfg: GridConfig):
-    lambdas = sorted(cfg.lambdas)
-    for n in range(cfg.n_max + 1):
-        for k in cfg.ks:
-            for r in cfg.rs:
-                for lam in lambdas:
-                    matrix = sk.connection_to_frobenius(n, k, r, lam)
-                    yield (n, k, r, lam), matrix.reconstruct(), sk.poly_closed(n, k)
+def _power_weights(cfg: GridConfig, r: int) -> list[Fraction]:
+    """a! [t^a] (t/log(1+t))^r for a = 0..n_max, from one power of the series."""
+    power = seq.t_over_log1p_series(cfg.n_max + 1) ** r
+    return [power.sequence_value(a) for a in range(cfg.n_max + 1)]
 
 
-@_identity(
-    "thm7.falling-basis",
-    "C_n^(k)(x) = sum_m C(n,m) C_{n-m}^(k) (x)_m",
-    "Theorem 7",
-    ("n", "k"),
-)
-def _eval_thm7_basis(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        for k in cfg.ks:
-            yield (n, k), sk.connection_to_falling(n, k).reconstruct(), sk.poly_closed(n, k)
+@_identity("thm5.weights-3way", "B_a^{(a-r+1)}(1) = N_a^{(-r)}(0)"
+           " = multinomial convolution of b-numbers = a![t^a](t/log(1+t))^r",
+           "Equations (50), (52) and (54)",
+           _R, (None, lambda cfg, r: [_power_weights(cfg, r)]),
+           ("a", lambda cfg, *_: range(cfg.n_max + 1)), ("route", lambda cfg, *_: _ROUTES))
+def _thm5_weights(r, weights, a, route):
+    return sk.bernoulli2nd_power_weight(a, r, _ROUTES[route]), weights[a]
 
 
-@_identity("stirling.eq6", "(x)_n = sum_l S1(n,l) x^l", "Equation (6)", ("n",))
-def _eval_stirling_eq6(cfg: GridConfig):
-    for n in range(cfg.n_max + 1):
-        lhs = Polynomial(seq.stirling1(n, l) for l in range(n + 1))
-        yield (n,), lhs, seq.falling_factorial_poly(n)
+@_identity("thm6.frobenius-basis", "C_n^(k)(x) = sum_m C_{n,m} H_m^{(r)}(x|lambda)",
+           "Theorem 6", _N0, _K, _R, _LAMBDA)
+def _thm6_basis(n, k, r, lam):
+    return sk.connection_to_frobenius(n, k, r, lam).reconstruct(), sk.poly_closed(n, k)
 
 
-@_identity("stirling.eq7", "n! [t^n] (log(1+t))^m / m! = S1(n,m)", "Equation (7)", ("n", "m"))
-def _eval_stirling_eq7(cfg: GridConfig):
+@_identity("thm7.falling-basis", "C_n^(k)(x) = sum_m C(n,m) C_{n-m}^(k) (x)_m",
+           "Theorem 7", _N0, _K)
+def _thm7_basis(n, k):
+    return sk.connection_to_falling(n, k).reconstruct(), sk.poly_closed(n, k)
+
+
+@_identity("stirling.eq6", "(x)_n = sum_l S1(n,l) x^l", "Equation (6)", _N0)
+def _stirling_eq6(n):
+    return Polynomial(seq.stirling1(n, l) for l in range(n + 1)), seq.falling_factorial_poly(n)
+
+
+def _log1p_powers(cfg: GridConfig) -> list[TruncatedSeries]:
+    """log(1+t)^m for m = 0..``STIRLING_GF_MAX_POWER``, each from the last."""
     base = log1p_series(cfg.n_max + 1)
-    powers = [base**0]
-    for _ in range(STIRLING_GF_MAX_POWER):
-        powers.append(powers[-1] * base)
-    for n in range(cfg.n_max + 1):
-        for m, power in enumerate(powers):
-            lhs = power.sequence_value(n) * Fraction(1, factorial(m))
-            yield (n, m), lhs, Fraction(seq.stirling1(n, m))
+    return list(accumulate([base] * STIRLING_GF_MAX_POWER, mul, initial=base**0))
 
 
-@_identity(
-    "narumi.eq52",
-    "N_n^{(a)}(x) = B_n^{(n+a+1)}(x+1)",
-    "remark after Equation (51), indices read as swapped",
-    ("n", "a"),
-)
-def _eval_narumi(cfg: GridConfig):
-    spread = cfg.r_range[1]
-    for n in range(cfg.n_max + 1):
-        for a in range(-spread, spread + 1):
-            rhs = seq.bernoulli_high_order_poly(n, n + a + 1).shift(1)
-            yield (n, a), seq.narumi_poly(n, a), rhs
+@_identity("stirling.eq7", "n! [t^n] (log(1+t))^m / m! = S1(n,m)", "Equation (7)",
+           (None, lambda cfg: [_log1p_powers(cfg)]), _N0,
+           ("m", lambda cfg, *_: range(STIRLING_GF_MAX_POWER + 1)))
+def _stirling_eq7(powers, n, m):
+    return powers[m].sequence_value(n) / factorial(m), seq.stirling1(n, m)
+
+
+@_identity("narumi.eq52", "N_n^{(a)}(x) = B_n^{(n+a+1)}(x+1)",
+           "remark after Equation (51), indices read as swapped",
+           _N0, ("a", lambda cfg, *_: range(-cfg.r_range[1], cfg.r_range[1] + 1)))
+def _narumi(n, a):
+    return seq.narumi_poly(n, a), seq.bernoulli_high_order_poly(n, n + a + 1).shift(1)
 
 
 def catalog() -> tuple[IdentityInfo, ...]:
@@ -547,7 +491,7 @@ def _checks(cfg: GridConfig) -> Iterator[Check]:
 
     A forked child makes each k slice (``_k_slices``) but the first
     (``workers.Forked``), and the checks of each identity are merged back
-    by grid point.  Every evaluator yields in increasing parameter order and
+    by grid point.  ``_points`` yields in increasing parameter order and
     the slices differ in k, so the merge gives the one-worker order; with
     one slice it yields straight from the parent's evaluator.  Every child
     is killed, if still running, and reaped when the generator ends, raises

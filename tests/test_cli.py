@@ -343,6 +343,57 @@ def test_wide_gf_coefficient_is_refused_before_the_probe(capsys, monkeypatch):
     assert err.startswith("error: rational too large to print")
 
 
+def _number_probe_refuses(n, k):
+    try:
+        format_rational(sk._stirling_sums(n, k, 1, 1).coefficient(0))
+    except UnprintableRationalError:
+        return True
+    return False
+
+
+def test_last_gen_number_bound_refuses_only_where_the_exact_probe_refuses():
+    # Without the v_p(n!) term the bound refuses C_n^(k) itself, the entry
+    # of the last row of gen polycauchy2-*, for every n the CLI accepts.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in range(1, seq.DEFAULT_STIRLING_LIMIT + 1):
+            first = None
+            for k in range(-3, 2200):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k, over_factorial=False)
+                except UnprintableRationalError:
+                    first = k
+                    break
+            assert first is not None and first > 0, n
+            for k in range(max(1, first - 8), first + 8):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k, over_factorial=False)
+                except UnprintableRationalError:
+                    assert _number_probe_refuses(n, k), (n, k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k, built", [("170", [64]), ("14000", [])])
+def test_gen_refuses_an_unprintable_last_row_before_the_rows_below_it(capsys, monkeypatch,
+                                                                      k, built):
+    # C_1^(k) prints at both k.  Row 64 of k = 170 does not, so it is built
+    # and refused first; at k = 14000 the bound on C_64^(k) refuses it unbuilt.
+    true_poly = sk.poly_closed
+    calls = []
+
+    def counted(n, k):
+        calls.append(n)
+        return true_poly(n, k)
+
+    monkeypatch.setattr(sk, "poly_closed", counted)
+    code, out, err = run_cli(capsys, "gen", "polycauchy2-poly", "--n-max", "64", "--k", k)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: rational too large to print")
+    assert calls == built
+
+
 @pytest.mark.parametrize("r, lam, message", [
     ("-1", "2", "Frobenius-Euler family needs a non-negative order"),
     ("1", "1", "Frobenius-Euler parameter must differ from 1"),

@@ -1,6 +1,7 @@
 import json
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +178,24 @@ def test_fault_injection_text_prints_both_sides(monkeypatch):
     text = report.to_text()
     assert "FAIL thm4.m1-corrected" in text
     assert "lhs =" in text and "rhs =" in text
+
+
+def test_m1_corrected_is_checked_apart_from_the_general_contraction(monkeypatch):
+    # A wrong Theorem 4 fails thm4.general at every point, m = 1 included,
+    # and leaves the corrected m = 1 case, computed as it reads, passing.
+    monkeypatch.setattr(sk, "theorem4_sides", lambda n, m, k: (F(0), F(1)))
+    report = run_suite(GridConfig(n_max=4, k_range=(-2, 2),
+                                  identities=("thm4.general", "thm4.m1-corrected")))
+    checks = {ident: [c for c in report.checks if c.identity == ident]
+              for ident in ("thm4.general", "thm4.m1-corrected")}
+    assert checks["thm4.general"] and not any(c.passed for c in checks["thm4.general"])
+    assert checks["thm4.m1-corrected"] and all(c.passed for c in checks["thm4.m1-corrected"])
+
+
+def test_readme_lists_the_catalog_ids_in_catalog_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("The catalog ids", 1)[1].split("```", 2)[1]
+    assert tuple(block.split()) == catalog_ids()
 
 
 @pytest.mark.parametrize(
