@@ -19,10 +19,10 @@ grid, and the ``--output`` file is opened before the first check.  A write
 error part-way through still exits 2, as does a grid found part-way through
 to need a deeper series; either may leave a partial ``--output`` file.
 ``verify`` evaluates its grid on every usable CPU and writes the bytes of a
-one-CPU run (see ``verify``); CPU affinity (``taskset``) is the only
-control.  An error part-way there may leave a shorter partial file than one
-CPU would, since the other CPUs' checks are merged in only as the report
-reaches them.
+one-CPU run (see ``verify``); CPU affinity (``taskset``) and the cgroup's
+CPU quota are the only controls.  An error part-way there may leave a
+shorter partial file than one CPU would, since the workers' checks are
+merged in only as the report reaches them.
 
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
@@ -96,16 +96,25 @@ def _refuse_unprintable_k(k: int, times: int = 1, shift: Fraction | int = 0) -> 
 
 def _refuse_unprintable_gf_coefficient(n: int, k: int, over_factorial: bool = True) -> None:
     """Refuse C_n^(k)/n!, or C_n^(k) itself when ``over_factorial`` is
-    false, from a lower bound on its reduced denominator, before the closed
-    form is summed; below the bound nothing is decided.
+    false, from a lower bound on its reduced denominator (k > 0) or
+    numerator (k < 0), before the closed form is summed; below the bound
+    nothing is decided.
 
     For k > 0, a prime p with (n+1)/2 < p <= n+1 divides exactly one of
     1..n+1, so in C_n^(k) = sum_m S1(n,m) (-1)^m / (m+1)^k only the term
     m = p-1 has p in its denominator.  When v = v_p(S1(n, p-1)) < k, the
     sum has p-adic valuation v - k, so p^(k - v) divides the reduced
-    denominator of C_n^(k), and p^(k - v + v_p(n!)) that of C_n^(k)/n!."""
+    denominator of C_n^(k), and p^(k - v + v_p(n!)) that of C_n^(k)/n!.
+
+    For k < 0, every term of C_n^(k) = sum_m (-1)^n |S1(n,m)| (m+1)^|k| has
+    the sign (-1)^n, so |C_n^(k)| >= (n+1)^|k|, a bound on the numerator of
+    C_n^(k) and, over n!, on that of C_n^(k)/n!."""
     limit = sys.get_int_max_str_digits()
-    if not limit or k <= 0:
+    if not limit or k == 0:
+        return
+    if k < 0:
+        if (n + 1) ** -k >= 10**limit * (factorial(n) if over_factorial else 1):
+            raise UnprintableRationalError()
         return
     bound, cap = 1, 10**limit
     for p in range(max(2, (n + 1) // 2 + 1), n + 2):

@@ -28,23 +28,23 @@ the report in its final order.  ``run_suite`` collects it; ``_Stream``
 hands it to the CLI's sink and keeps only the per-identity counts and the
 failures, which are all ``_summary_text`` and the exit code need.
 
-The grid is evaluated on every usable CPU.  ``_checks`` cuts the grid's k
-values into contiguous ranges, one per CPU and no more than there are k
-values, and forks a child for each range but the first (``workers``).  The
-parent makes the first range and every identity with no ``k`` parameter,
-and merges each identity's checks back by grid point, so a report is
-byte-identical to a one-CPU run.  CPU affinity (``taskset``) is the only
-control: a process allowed one CPU, a platform without ``os.fork``, a
-process with another live thread or one with ``SIGCHLD`` ignored runs
-everything in one process.  A child's memo hits and spans stay in the
-child.
+The grid is evaluated on every usable CPU.  With W of them, ``_checks``
+forks W children (``workers``), and child i makes points i, i + W, i + 2W,
+... of every identity's grid, so each identity's shares differ by at most
+one check whatever the grid.  The parent makes no point: it merges each
+identity's checks back by grid point and writes them, so a report is
+byte-identical to a one-CPU run.  CPU affinity (``taskset``) and the
+cgroup's CPU quota are the only controls: a process allowed one CPU, a
+platform without ``os.fork``, a process with another live thread or one
+with ``SIGCHLD`` ignored runs everything in one process.  A child's memo
+hits and spans stay in the child.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, compress, islice
@@ -143,14 +143,6 @@ class GridConfig:
                 raise GridConfigError(f"unknown identities: {sorted(unknown)}")
             object.__setattr__(self, "identities", tuple(sorted(set(self.identities))))
 
-    @property
-    def ks(self) -> range:
-        return range(self.k_range[0], self.k_range[1] + 1)
-
-    @property
-    def rs(self) -> range:
-        return range(self.r_range[0], self.r_range[1] + 1)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -242,7 +234,7 @@ def _summary_text(counts: Mapping[str, int], failures: Sequence[Check]) -> str:
 # ---------------------------------------------------------------------------
 # Identities: declared axes and sides
 
-Evaluator = Callable[[GridConfig], Iterator[tuple[tuple, object, object]]]
+Evaluator = Callable[[GridConfig, tuple[int, int]], Iterator[tuple[tuple, object, object]]]
 # An axis is its parameter name and its values, given the config and the
 # values of the axes before it.  An axis named None is not a parameter: its
 # one value is bound once per prefix and shared by every point below it.
@@ -262,9 +254,14 @@ def _points(cfg: GridConfig, axes: Sequence[Axis]) -> Iterator[tuple]:
 
 def _extended(cfg: GridConfig, points: Iterator[tuple],
               values: Callable[..., Iterable]) -> Iterator[tuple]:
-    """Each of ``points`` followed by each of its values on one more axis."""
+    """Each of ``points`` followed by each of its values on one more axis;
+    values given as the same object for each prefix, such as
+    ``cfg.lambdas``, are sorted once."""
+    given = ordered = None
     for point in points:
-        for value in sorted(values(cfg, *point)):
+        if (found := values(cfg, *point)) is not given:
+            given, ordered = found, sorted(found)
+        for value in ordered:
             yield (*point, value)
 
 
@@ -283,11 +280,14 @@ def _identity(id: str, statement: str, location: str, *axes: Axis):
     return register
 
 
-def _evaluate(axes: Sequence[Axis], sides: Callable[..., tuple], cfg: GridConfig):
-    """``(values, lhs, rhs)`` at every point of ``axes``, with ``values``
-    those of the named axes."""
+def _evaluate(axes: Sequence[Axis], sides: Callable[..., tuple], cfg: GridConfig,
+              share: tuple[int, int]):
+    """``(values, lhs, rhs)`` at points i, i + w, i + 2w, ... of ``axes``
+    for ``share`` (i, w), with ``values`` those of the named axes; share
+    (0, 1) is the whole grid."""
     named = [name is not None for name, _ in axes]
-    for point in _points(cfg, axes):
+    index, count = share
+    for point in islice(_points(cfg, axes), index, None, count):
         yield tuple(compress(point, named)), *sides(*point)
 
 
@@ -295,8 +295,8 @@ _N0 = ("n", lambda cfg, *_: range(cfg.n_max + 1))
 _N1 = ("n", lambda cfg, *_: range(1, cfg.n_max + 1))
 _J = ("j", lambda cfg, n, *_: range(1, n + 1))
 _M = ("m", lambda cfg, n, *_: range(1, n + 1))
-_K = ("k", lambda cfg, *_: cfg.ks)
-_R = ("r", lambda cfg, *_: cfg.rs)
+_K = ("k", lambda cfg, *_: range(cfg.k_range[0], cfg.k_range[1] + 1))
+_R = ("r", lambda cfg, *_: range(cfg.r_range[0], cfg.r_range[1] + 1))
 _LAMBDA = ("lambda", lambda cfg, *_: cfg.lambdas)
 _Y = ("y", lambda cfg, *_: cfg.y_values)
 
@@ -451,11 +451,11 @@ def catalog_ids() -> tuple[str, ...]:
     return tuple(_IDENTITIES)
 
 
-def _evaluated(identity: str, cfg: GridConfig) -> Iterator[Check]:
-    """The checks of one identity over ``cfg``, in canonical order."""
+def _evaluated(identity: str, cfg: GridConfig, share: tuple[int, int]) -> Iterator[Check]:
+    """The checks of one identity in ``share`` of ``cfg``, in canonical order."""
     info, evaluate = _IDENTITIES[identity]
     try:
-        for values, lhs, rhs in evaluate(cfg):
+        for values, lhs, rhs in evaluate(cfg, share):
             params = tuple(zip(info.params, values, strict=True))
             yield _check(identity, params, lhs, rhs)
     except InsufficientOrderError as exc:
@@ -463,22 +463,6 @@ def _evaluated(identity: str, cfg: GridConfig) -> Iterator[Check]:
             f"identity {identity} needs truncation order >= {exc.required}, "
             f"got {exc.order}"
         ) from exc
-
-
-def _has_k(identity: str) -> bool:
-    return "k" in _IDENTITIES[identity][0].params
-
-
-def _k_slices(cfg: GridConfig, selected: Sequence[str], cpus: int) -> list[GridConfig]:
-    """``cfg`` cut into one contiguous k range per worker process, one per
-    CPU of ``cpus`` but no more than k values; one range when no selected
-    identity reads k.  The first slice is the parent's, which also makes
-    the k-free identities and writes the report, so it is never larger than
-    another."""
-    ks = cfg.ks
-    count = min(cpus, len(ks)) if any(map(_has_k, selected)) else 1
-    cuts = [ks.start + len(ks) * index // count for index in range(count + 1)]
-    return [replace(cfg, k_range=(lo, hi - 1)) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _grid_point(check: Check) -> tuple:
@@ -489,31 +473,26 @@ def _checks(cfg: GridConfig) -> Iterator[Check]:
     """Evaluate the selected identities at every grid point of ``cfg``,
     yielding each check as it is made, in canonical order.
 
-    A forked child makes each k slice (``_k_slices``) but the first
-    (``workers.Forked``), and the checks of each identity are merged back
-    by grid point.  ``_points`` yields in increasing parameter order and
-    the slices differ in k, so the merge gives the one-worker order; with
-    one slice it yields straight from the parent's evaluator.  Every child
-    is killed, if still running, and reaped when the generator ends, raises
-    or is closed."""
+    With W usable CPUs, a forked child makes share (i, W) of every identity
+    (``workers.Forked``, which forks nothing for one share), and the shares
+    of each identity are merged back by grid point: each is a subsequence of
+    the increasing points, so the merge gives the one-worker order.  Every
+    child is killed, if still running, and reaped when the generator ends,
+    raises or is closed."""
     import heapq
 
     from .workers import Forked, usable
 
     selected = cfg.identities if cfg.identities is not None else sorted(catalog_ids())
-    slices = _k_slices(cfg, selected, usable())
+    count = usable()
 
-    def sections(part: GridConfig):
-        return (_evaluated(identity, part) for identity in filter(_has_k, selected))
+    def sections(share: tuple[int, int]):
+        return (_evaluated(identity, cfg, share) for identity in selected)
 
-    with Forked(slices[1:], sections, _RUN) as children:
-        own = [slices[0], *children.unforked]
+    with Forked([(index, count) for index in range(count)], sections, _RUN) as children:
         for identity in selected:
-            if _has_k(identity):
-                yield from heapq.merge(*(_evaluated(identity, part) for part in own),
-                                       *children.next_section(), key=_grid_point)
-            else:
-                yield from _evaluated(identity, cfg)
+            own = (_evaluated(identity, cfg, share) for share in children.unforked)
+            yield from heapq.merge(*own, *children.next_section(), key=_grid_point)
 
 
 # A sink encodes the rows of each run before the next run is made.  Making a

@@ -375,11 +375,39 @@ def test_last_gen_number_bound_refuses_only_where_the_exact_probe_refuses():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("k, built", [("170", [64]), ("14000", [])])
+@pytest.mark.parametrize("over_factorial", [True, False], ids=["series", "gen"])
+def test_negative_k_bound_refuses_only_where_the_exact_probe_refuses(over_factorial):
+    # For k < 0 the bound is |C_n^(k)| >= (n+1)^|k|, over n! for the series.
+    # It is checked against the probe on a window around the least |k| it
+    # refuses, for every n the CLI accepts.
+    probe_refuses = _gf_probe_refuses if over_factorial else _number_probe_refuses
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in range(1, seq.DEFAULT_STIRLING_LIMIT + 1):
+            first = None
+            for k in range(0, -2200, -1):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k, over_factorial)
+                except UnprintableRationalError:
+                    first = k
+                    break
+            assert first is not None and first < 0, n
+            for k in range(min(-1, first + 8), first - 8, -1):
+                try:
+                    cli._refuse_unprintable_gf_coefficient(n, k, over_factorial)
+                except UnprintableRationalError:
+                    assert probe_refuses(n, k), (n, k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k, built", [("170", [64]), ("14000", []), ("-14000", [])])
 def test_gen_refuses_an_unprintable_last_row_before_the_rows_below_it(capsys, monkeypatch,
                                                                       k, built):
-    # C_1^(k) prints at both k.  Row 64 of k = 170 does not, so it is built
-    # and refused first; at k = 14000 the bound on C_64^(k) refuses it unbuilt.
+    # C_1^(k) prints at each k.  Row 64 of k = 170 does not, so it is built
+    # and refused first; at k = 14000 the bound on C_64^(k)'s denominator
+    # refuses it unbuilt, and at k = -14000 the bound |C_64^(k)| >= 65^14000.
     true_poly = sk.poly_closed
     calls = []
 
@@ -419,9 +447,9 @@ def test_verify_unwritable_output_fails_before_any_check(tmp_path, capsys, monke
 
     started: list[str] = []
     for identity, (info, evaluate) in list(verify._IDENTITIES.items()):
-        def counted(cfg, identity=identity, evaluate=evaluate):
+        def counted(cfg, share, identity=identity, evaluate=evaluate):
             started.append(identity)
-            yield from evaluate(cfg)
+            yield from evaluate(cfg, share)
 
         monkeypatch.setitem(verify._IDENTITIES, identity, (info, counted))
     target = tmp_path / "missing" / "x.json"
@@ -439,8 +467,8 @@ def test_verify_order_error_part_way_is_a_usage_error(tmp_path, capsys, monkeypa
 
     info, evaluate = verify._IDENTITIES["difference"]
 
-    def runs_short(cfg):
-        for index, point in enumerate(evaluate(cfg)):
+    def runs_short(cfg, share):
+        for index, point in enumerate(evaluate(cfg, share)):
             if index == 3:
                 raise InsufficientOrderError(9, 8)
             yield point
@@ -497,8 +525,8 @@ def test_verify_peak_memory_does_not_grow_with_the_grid(tmp_path, monkeypatch):
 
 def test_verify_parent_peak_memory_does_not_grow_with_the_grid_on_two_workers(
         tmp_path, monkeypatch):
-    # A forked child makes the checks of k >= 0; this process, which makes
-    # the rest and merges and writes them all, must not grow either.
+    # Forked children make the checks; this process, which merges and
+    # writes them all, must not grow either.
     peaks = _verify_peaks(tmp_path, monkeypatch, 2)
     assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
 

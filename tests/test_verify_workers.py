@@ -21,9 +21,11 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def use_cpus(monkeypatch, count):
-    """Make ``verify`` see ``count`` usable CPUs."""
+    """Make ``verify`` see ``count`` usable CPUs, whatever CPU quota the
+    host sets."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
+    monkeypatch.setattr(workers, "_OWN_CGROUP", os.devnull)
 
 
 def report(capsys, monkeypatch, workers, *argv):
@@ -70,7 +72,7 @@ def test_failures_made_in_a_worker_reach_the_report(capsys, monkeypatch, fmt):
     assert one[0] == 1
     assert report(capsys, monkeypatch, 2, *argv) == one
     if fmt == "json":
-        # With two workers, k in [0, 3] is the child's slice.
+        # With two workers every check is made in a child.
         failed = [row for row in json.loads(one[1] + "\n}")["rows"] if row["status"] == "fail"]
         assert any(row["params"]["k"] >= 0 and row["lhs"] and row["rhs"] for row in failed)
 
@@ -84,18 +86,92 @@ def test_run_suite_with_workers_gives_the_one_worker_checks(monkeypatch):
     assert_no_child()
 
 
-@pytest.mark.parametrize("argv", [
-    ("--n-max", "4", "--k-min", "1", "--k-max", "1"),
-    ("--n-max", "4", "--identity", "thm5.weights-3way", "--identity", "narumi.eq52"),
-], ids=["one-k", "no-k-identity"])
-def test_a_grid_with_nothing_to_split_forks_nothing(capsys, monkeypatch, argv):
-    use_cpus(monkeypatch, 2)
+def fake_cgroup(tmp_path, monkeypatch, cpu_max):
+    """Make ``workers`` read ``cpu_max`` as its own cgroup's ``cpu.max``,
+    or find no such file when it is None."""
+    (tmp_path / "cgroup").write_text("1:cpu:/\n0::/box/job\n")
+    (tmp_path / "box" / "job").mkdir(parents=True)
+    if cpu_max is not None:
+        (tmp_path / "box" / "job" / "cpu.max").write_text(cpu_max)
+    monkeypatch.setattr(workers, "_OWN_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(workers, "_CGROUP_ROOT", str(tmp_path))
+
+
+@pytest.mark.parametrize("cpu_max, count", [
+    ("max 100000\n", 7), (None, 7), ("garbled\n", 7), ("100000 100000\n", 1),
+    ("1000 100000\n", 1), ("150000 100000\n", 2), ("400000 100000\n", 4),
+    ("900000 100000\n", 7),
+], ids=["max", "no-file", "garbled", "one", "a-hundredth", "one-and-a-half", "four",
+        "nine"])
+def test_a_cpu_quota_caps_the_worker_count(tmp_path, monkeypatch, cpu_max, count):
+    use_cpus(monkeypatch, 7)
+    fake_cgroup(tmp_path, monkeypatch, cpu_max)
+    assert workers.usable() == count
+
+
+def test_no_cgroup_v2_entry_is_no_cap(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 7)
+    fake_cgroup(tmp_path, monkeypatch, "100000 100000\n")
+    (tmp_path / "cgroup").write_text("1:cpu:/\n")
+    assert workers.usable() == 7
+
+
+@pytest.mark.parametrize("limit", ["affinity", "quota"])
+def test_one_usable_cpu_forks_nothing(tmp_path, capsys, monkeypatch, limit):
+    if limit == "affinity":
+        use_cpus(monkeypatch, 1)
+    else:
+        use_cpus(monkeypatch, 7)
+        fake_cgroup(tmp_path, monkeypatch, "100000 100000\n")
 
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert main(["verify", *argv]) == 0
+    assert main(["verify", "--n-max", "4", "--output", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n-max", "4", "--k-min", "1", "--k-max", "1"),
+    ("--n-max", "4", "--identity", "thm5.weights-3way", "--identity", "narumi.eq52"),
+], ids=["one-k", "no-k-identity"])
+def test_a_grid_with_one_k_or_none_splits_on_two_cpus(capsys, monkeypatch, argv):
+    one = report(capsys, monkeypatch, 1, *argv, "--format", "csv")
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    assert report(capsys, monkeypatch, 2, *argv, "--format", "csv") == one
+    assert len(forks) == 2
+    assert_no_child()
+
+
+def test_with_two_cpus_the_parent_evaluates_no_point(capsys, monkeypatch):
+    argv = ("--n-max", "3", "--format", "csv")
+    one = report(capsys, monkeypatch, 1, *argv)
+    made = []  # what a child appends stays in the child
+    for identity, (info, evaluate) in list(verify._IDENTITIES.items()):
+        def recorded(*args, evaluate=evaluate):
+            for point in evaluate(*args):
+                made.append(point)
+                yield point
+
+        monkeypatch.setitem(verify._IDENTITIES, identity, (info, recorded))
+    assert report(capsys, monkeypatch, 2, *argv) == one
+    assert made == []
+    assert_no_child()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("k_range", [(-3, 3), (2, 2)], ids=["seven-k", "one-k"])
+def test_each_identitys_shares_differ_by_at_most_one_check(count, k_range):
+    cfg = GridConfig(n_max=4, k_range=k_range)
+    for identity in verify.catalog_ids():
+        whole = list(verify._evaluated(identity, cfg, (0, 1)))
+        shares = [list(verify._evaluated(identity, cfg, (index, count)))
+                  for index in range(count)]
+        sizes = [len(share) for share in shares]
+        assert max(sizes) - min(sizes) <= 1, (identity, sizes)
+        assert sorted(sum(shares, []), key=verify._grid_point) == whole
 
 
 def test_a_live_thread_keeps_verify_in_one_process(capsys, monkeypatch):
@@ -129,7 +205,7 @@ def test_a_slice_that_cannot_fork_is_made_in_the_parent(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     assert report(capsys, monkeypatch, 3, *argv) == one
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert_no_child()
 
 
@@ -156,6 +232,8 @@ def test_only_a_forked_run_loads_pickle():
         "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
         "print('pickle' in sys.modules)\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from polycauchy import workers\n"
+        "workers._OWN_CGROUP = os.devnull  # whatever CPU quota the host sets\n"
         "cli.main(['verify', '--n-max', '2', '--output', os.devnull])\n"
         "print('pickle' in sys.modules)\n"
     )
@@ -196,16 +274,28 @@ def test_close_copes_with_a_child_the_kernel_reaped():
 
 def short_difference(monkeypatch, in_child):
     """Make ``difference`` raise InsufficientOrderError at its fourth point
-    of the child's slice (k >= 0 with two workers) or of the parent's."""
+    of share 1, a child's with two workers, or of share 0, made in the
+    parent because its fork is made to fail."""
     info, evaluate = verify._IDENTITIES["difference"]
 
-    def runs_short(cfg):
-        for index, point in enumerate(evaluate(cfg)):
-            if index == 3 and (cfg.k_range[0] >= 0) == in_child:
+    def runs_short(cfg, share):
+        for index, point in enumerate(evaluate(cfg, share)):
+            if index == 3 and (share[0] == 1) == in_child:
                 raise InsufficientOrderError(9, 8)
             yield point
 
     monkeypatch.setitem(verify._IDENTITIES, "difference", (info, runs_short))
+    if not in_child:
+        real_fork = os.fork
+        forks = []
+
+        def first_fork_fails():
+            forks.append(1)
+            if len(forks) == 1:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", first_fork_fails)
 
 
 @pytest.mark.parametrize("path", ["ok", "failure", "order-error-in-child",
@@ -238,13 +328,13 @@ def test_no_worker_outlives_verify(capsys, monkeypatch, path):
 def test_a_stop_part_way_does_not_wait_for_a_busy_worker(monkeypatch):
     info, _ = verify._IDENTITIES["difference"]
 
-    def child_sleeps_parent_fails(cfg):
-        if cfg.k_range[0] >= 0:
+    def second_sleeps_first_fails(cfg, share):
+        if share[0] == 1:
             time.sleep(60)
         raise InsufficientOrderError(9, 8)
         yield
 
-    monkeypatch.setitem(verify._IDENTITIES, "difference", (info, child_sleeps_parent_fails))
+    monkeypatch.setitem(verify._IDENTITIES, "difference", (info, second_sleeps_first_fails))
     use_cpus(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(GridConfigError):
@@ -259,10 +349,10 @@ def test_an_exception_that_would_not_unpickle_is_sent_as_its_message(monkeypatch
 
     info, evaluate = verify._IDENTITIES["difference"]
 
-    def breaks_in_the_child(cfg):
-        if cfg.k_range[0] >= 0:
+    def breaks_in_the_child(cfg, share):
+        if share[0] == 1:
             raise Unpicklable("no way back")
-        yield from evaluate(cfg)
+        yield from evaluate(cfg, share)
 
     monkeypatch.setitem(verify._IDENTITIES, "difference", (info, breaks_in_the_child))
     use_cpus(monkeypatch, 2)
