@@ -27,7 +27,8 @@ merged in only as the report reaches them.
 The identity suite (``verify``) and ``datetime`` are imported inside the
 ``verify`` subcommand and ``csv`` inside the CSV writer, so ``gen``,
 ``expand`` and ``series`` never load ``verify``, and a start-up pays only for
-what its command runs.
+what its command runs.  The argument parser is built by the first ``main``
+call, not at import, and every later call in the process reuses it.
 
 Exit codes: 0 success, 1 verification failures, 2 usage errors, including
 requests beyond a table's size limit, values too large to print and output
@@ -58,7 +59,7 @@ from . import second_kind as sk
 from . import sequences as seq
 from .exact import (UnprintableRationalError, UsageError, format_numerators, format_rational,
                     parse_rational, unprintable_power)
-from .poly import Basis, Polynomial
+from .poly import Basis, Polynomial, _frobenius_euler_lambda
 
 __all__ = ["main", "build_parser"]
 
@@ -325,7 +326,10 @@ def _emit(args, command: str, params: dict, rows: Iterable[dict], columns: list[
 # ---------------------------------------------------------------------------
 # Subcommands
 
-# gen sequence -> (required (dest, flag) pairs, result column, value at degree n)
+# gen sequence -> (required (dest, flag) pairs, result column, source).  The
+# source is the value at degree n, or, for a Sheffer family, the family and
+# its parameters: a table of degrees 0..N is then the first N+1 members of
+# the family's one grown row of order grown_order(N).
 _GEN = {
     "polycauchy2-number": (
         (("k", "--k"),),
@@ -342,47 +346,44 @@ _GEN = {
         "values",
         lambda args, n: [format_rational(seq.stirling1(n, l)) for l in range(n + 1)],
     ),
-    "bernoulli2": (
-        (),
-        "coefficients",
-        lambda args, n: _poly_strings(seq.bernoulli_2nd_poly(n)),
-    ),
+    "bernoulli2": ((), "coefficients", (seq._NARUMI, lambda args: (-1,))),
     "bernoulli-order": (
         (("alpha", "--alpha"),),
         "coefficients",
-        lambda args, n: _poly_strings(seq.bernoulli_high_order_poly(n, args.alpha)),
+        (seq._HIGH_ORDER_BERNOULLI, lambda args: (args.alpha,)),
     ),
     "frobenius-euler": (
         (("r", "--r"), ("lam", "--lambda")),
         "coefficients",
-        lambda args, n: _poly_strings(seq.frobenius_euler_poly(n, args.r, args.lam)),
+        (seq._FROBENIUS_EULER, lambda args: (args.r, _frobenius_euler_lambda(args.r, args.lam))),
     ),
-    "narumi": (
-        (("a", "--a"),),
-        "coefficients",
-        lambda args, n: _poly_strings(seq.narumi_poly(n, args.a)),
-    ),
+    "narumi": ((("a", "--a"),), "coefficients", (seq._NARUMI, lambda args: (args.a,))),
 }
 
 
 def _cmd_gen(args) -> int:
     _check_size("--n-max", args.n_max)
     name = args.sequence
-    required, column, value = _GEN[name]
+    required, column, source = _GEN[name]
     params: dict = {"sequence": name, "n_max": args.n_max}
     for dest, flag in required:
         given = getattr(args, dest)
         if given is None:
             raise UsageError(f"sequence {name!r} requires {flag}")
         params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
-    ns = range(args.n_max + 1)
-    if name.startswith("polycauchy2-") and args.n_max >= 1:
-        _refuse_unprintable_k(args.k)
-        # The last row holds C_N^(k): refused from a bound on its reduced
-        # denominator, or built and formatted before the rows below it.
-        _refuse_unprintable_gf_coefficient(args.n_max, args.k, over_factorial=False)
-        ns = [args.n_max, *ns[:-1]]
-    rows = sorted(({"n": n, column: value(args, n)} for n in ns), key=lambda row: row["n"])
+    if isinstance(source, tuple):
+        family, family_params = source
+        row = seq._grown_rows(family, family_params(args), seq.grown_order(args.n_max))
+        rows = [{"n": n, column: _poly_strings(p)} for n, p in enumerate(row[: args.n_max + 1])]
+    else:
+        ns = range(args.n_max + 1)
+        if name.startswith("polycauchy2-") and args.n_max >= 1:
+            _refuse_unprintable_k(args.k)
+            # The last row holds C_N^(k): refused from a bound on its reduced
+            # denominator, or built and formatted before the rows below it.
+            _refuse_unprintable_gf_coefficient(args.n_max, args.k, over_factorial=False)
+            ns = [args.n_max, *ns[:-1]]
+        rows = sorted(({"n": n, column: source(args, n)} for n in ns), key=lambda row: row["n"])
     _emit(args, "gen", params, rows, ["n", column])
     return 0
 
@@ -491,9 +492,15 @@ def _cmd_series(args) -> int:
     return 0
 
 
+# Built by the first ``main`` call, not at import, and reused by later calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (UsageError, OSError) as exc:

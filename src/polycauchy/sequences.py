@@ -32,8 +32,10 @@ in one memo, ``_grown_rows``, keyed by the family, its parameters and an
 order N.  Truncation modulo t^(N+1) is a ring homomorphism, so a series of
 order N gives each P_n exactly as a fresh one of order n+1 does.  Degree n
 is read from the row of order ``grown_order(n)``, the least power of two at
-or above n, so an ascending scan 0..n builds rows of orders 0, 1, 2, 4, ...,
-which together cost about one build at the last order.  The Bernoulli
+or above n.  A caller that reads degrees 0..N, as a ``gen`` table or a
+connection row does, reads them from one row, keyed by ``grown_order(N)``;
+an ascending scan one degree at a time builds rows of orders 0, 1, 2, 4,
+..., which together cost about one build at the last order.  The Bernoulli
 numbers of the second kind are the polynomials at x = 0.
 """
 

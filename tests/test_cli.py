@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction as F
 from math import comb, factorial
@@ -757,6 +758,87 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "error:" in captured.err and "Traceback" not in captured.err, captured.err
+
+
+GOLDEN = {
+    tuple(entry["argv"]): entry["stdout"]
+    for entry in json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+}
+GOLDEN_GEN = ("gen", "narumi", "--a", "2", "--n-max", "6", "--format", "json")
+GOLDEN_VERIFY = ("verify", "--n-max", "3", "--k-min", "-1", "--k-max", "1", "--r-max", "1",
+                 "--format", "text")
+
+
+def count_parser_builds(monkeypatch) -> list:
+    """Forget the process's parser and count the builds from here on."""
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return builds
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    builds = count_parser_builds(monkeypatch)
+    for argv in (GOLDEN_GEN, ("gen", "stirling1", "--n-max", "7", "--format", "csv")):
+        assert run_cli(capsys, *argv) == (0, GOLDEN[argv], "")
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv, raises", [
+    (("gen", "no-such-sequence", "--n-max", "1"), True),
+    (("verify", "--lambda", "2", "--identity", "difference", "--n-max", "x"), True),
+    (("gen", "narumi", "--alpha", "3", "--n-max", "6"), False),
+    (("gen", "frobenius-euler", "--r", "1", "--lambda", "1", "--n-max", "2"), False),
+], ids=["argparse-choice", "argparse-after-append", "missing-flag", "bad-lambda"])
+def test_a_usage_error_leaves_the_reused_parser_as_it_was(capsys, monkeypatch, argv, raises):
+    # The verify report must show the default lambdas and the whole catalog,
+    # however much of the failed call's --lambda and --identity was parsed.
+    builds = count_parser_builds(monkeypatch)
+    assert run_cli(capsys, *GOLDEN_GEN) == (0, GOLDEN[GOLDEN_GEN], "")
+    if raises:
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+    else:
+        assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+    for again in (GOLDEN_VERIFY, GOLDEN_GEN):
+        assert run_cli(capsys, *again) == (0, GOLDEN[again], "")
+    assert len(builds) == 1
+
+
+def test_threads_share_the_first_parser_and_write_their_golden_bytes(tmp_path, monkeypatch):
+    # Threads racing on the first call may each build a parser; every call
+    # still parses its own argv, and the process keeps a parser after.
+    count_parser_builds(monkeypatch)
+    gens = [argv for argv in GOLDEN if argv[0] == "gen"][::2]
+    barrier = threading.Barrier(len(gens))
+    codes = {}
+
+    def worker(index):
+        barrier.wait(timeout=30)
+        codes[index] = main([*gens[index], "--output", str(tmp_path / f"{index}.out")])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(gens))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert codes == dict.fromkeys(range(len(gens)), 0)
+    for index, argv in enumerate(gens):
+        assert (tmp_path / f"{index}.out").read_text(encoding="utf-8") == GOLDEN[argv], argv
+    assert cli._parser is not None
 
 
 def test_output_file(tmp_path, capsys):

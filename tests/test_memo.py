@@ -220,7 +220,9 @@ def test_concurrent_misses_publish_equal_rows():
 
 
 # Degrees at, just below and just past each rebuild of an ascending scan
-# (rows of orders 0, 1, 2, 4, 8, 16, 32), and the top of the table.
+# (rows of orders 0, 1, 2, 4, 8, 16, 32), and the top of the table.  A family
+# table is one row of order 32, so its rows are held here against the
+# per-degree lookups, which read the smaller rows too.
 GEN_DEGREES = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 29, 30)
 GEN_CASES = [
     (("bernoulli2",), "bernoulli_2nd_poly", None),
@@ -244,3 +246,13 @@ def test_gen_rows_match_fresh_builds_to_n30(args, family, param, capsys):
         got = Polynomial(parse_rational(c) for c in rows[n]["coefficients"])
         assert got == lookup(n, param), (family, n)
         assert values(family, got, n) == fresh(family, param, n), (family, n)
+
+
+@pytest.mark.parametrize("args", [case[0] for case in GEN_CASES[:4]], ids=lambda args: args[0])
+def test_a_family_table_reads_one_grown_row(args, capsys):
+    # Degrees 0..30 are the first 31 members of the row of order 32; read
+    # degree by degree they would take the rows of 7 orders.
+    ROWS.cache_clear()
+    assert main(["gen", *args, "--n-max", "30", "--format", "json"]) == 0
+    info = ROWS.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
