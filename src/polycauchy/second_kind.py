@@ -23,12 +23,17 @@ coefficients, and Theorem 2's braced weights are the polynomial at c = 2.
 The same layout runs Theorem 6's factored row, ``connection_to_frobenius``:
 the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
 1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r whose
-numerator is ``_stirling_convolution``, sum_j C(n,j) S1(j,m) g(n-j) in ints.
-Theorem 4's left side is that helper over the numbers, its right side one
-``linear_combination`` of closed polynomials read at x = -1.  Its corrected
-m = 1 case is summed on its own, over the numbers with no Stirling number,
-so it checks the erratum rather than Theorem 4 again.  The addition
-formula's weights are int products over powers of q.
+numerator is entry m of ``_stirling_convolution``, sum_j C(n,j) S1(j,m)
+g(n-j) in ints.  That kernel makes every m in one pass over j, reading each
+whole Stirling row once (``Stirling1Table.row``).  Theorem 4's left side
+needs entry m alone, an O(n) sum over the same rows (``_stirling_entry``);
+its right side is one ``linear_combination`` of closed polynomials read at
+x = -1.  Its corrected m = 1 case is summed on its own, over the numbers
+with no Stirling number, so it checks the erratum rather than Theorem 4
+again.  Theorem 7's falling row is C(n,m) times the numbers' numerators over
+L, and ``ConnectionMatrix.reconstruct`` sums any row against its basis's
+grown row in ints over one lcm.  The addition formula's weights are int
+products over powers of q.
 
 The oracle reads the numbers off Lif_k(-log(1+t)) and builds each
 polynomial by the Sheffer identity (Eq. (34) at x = 0, ``sheffer_rows``),
@@ -67,6 +72,7 @@ from .sequences import (
     _FALLING,
     _FROBENIUS_EULER,
     _HIGH_ORDER_BERNOULLI,
+    _TABLE,
     _grown_rows,
     _Sheffer,
     bernoulli2nd_convolution,
@@ -150,7 +156,7 @@ def _stirling_sums(n: int, k: int, c: int, width: int) -> Polynomial:
     the integer d^|k|.  Each power is computed once, for the offset
     d - c = m - j it serves.  A negative degree is refused."""
     _refuse_negative(n)
-    row = [stirling1(n, m) for m in range(n + 1)]
+    row = _TABLE.row(n)
     base = lcm(*range(c, n + c + 1))
     den = base**k if k >= 0 else 1
     totals = [0] * width
@@ -266,15 +272,24 @@ def recurrence_theorem3_rhs(n: int, k: int) -> Polynomial:
     return X * poly_closed(n - 1, k).shift(-1) + mix.shift(-1)
 
 
-def _stirling_convolution(n: int, m: int, g: list[int]) -> int:
-    """sum_{j=m}^{n} C(n,j) S1(j,m) g[n-j] in ints: the sum that gives each
-    entry of Theorem 6's row and the left side of Theorem 4."""
-    total = 0
-    for j in range(m, n + 1):
-        s = stirling1(j, m)
-        if s:
-            total += binom(n, j) * s * g[n - j]
-    return total
+def _stirling_convolution(n: int, g: list[int]) -> list[int]:
+    """[sum_{j=m}^{n} C(n,j) S1(j,m) g[n-j] for m = 0..n] in ints, in one pass
+    over j: each Stirling row S1(j, 0..j) is read whole, once, and spread
+    with the weight C(n,j) g[n-j], formed once per j.  Theorem 6's row."""
+    totals = [0] * (n + 1)
+    for j in range(n + 1):
+        w = comb(n, j) * g[n - j]
+        if w:
+            for m, s in enumerate(_TABLE.row(j)):
+                totals[m] += s * w
+    return totals
+
+
+def _stirling_entry(n: int, m: int, g: list[int]) -> int:
+    """Entry m alone of ``_stirling_convolution``, an O(n) sum over the same
+    Stirling rows: the left side of Theorem 4, which reads one m."""
+    row = _TABLE.row
+    return sum([comb(n, j) * row(j)[m] * g[n - j] for j in range(m, n + 1)])
 
 
 def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
@@ -284,15 +299,18 @@ def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     RHS  sum_l (m-1)! C(n-1,l+m-1) S1(l+m-1,m-1)
              { (m-1) C_{n-l-m}^(k)(-1) + C_{n-l-m}^(k-1)(-1) }
 
-    The left side is ``_stirling_convolution`` over C_0^(k)..C_{n-m}^(k), the
-    right side one ``linear_combination`` of C_N^(k) and C_N^(k-1) at x = -1."""
+    The left side reads one entry of the Stirling convolution, entry m alone
+    (``_stirling_entry``, O(n) terms), over the integer numerators of
+    C_0^(k)..C_{n-m}^(k); the whole row would cost O(n^2) for it.  The right
+    side reads S1(j, m-1) off the same whole Stirling rows, j = l+m-1, and is
+    one ``linear_combination`` of C_N^(k) and C_N^(k-1) at x = -1."""
     if not 1 <= m <= n:
         raise ValueError("the contraction identity needs n >= m >= 1")
     top = n - m
     numbers, den = _integer_numerators([number_closed(i, k) for i in range(top + 1)])
-    lhs = Fraction(factorial(m) * _stirling_convolution(n, m, numbers), den)
-    outer = [factorial(m - 1) * binom(n - 1, l + m - 1) * stirling1(l + m - 1, m - 1)
-             for l in range(top + 1)]
+    lhs = Fraction(factorial(m) * _stirling_entry(n, m, numbers), den)
+    row = _TABLE.row
+    outer = [factorial(m - 1) * comb(n - 1, j) * row(j)[m - 1] for j in range(m - 1, n)]
     rhs = linear_combination(
         [(m - 1) * w for w in outer] + outer,
         [poly_closed(top - l, kk) for kk in (k, k - 1) for l in range(top + 1)],
@@ -361,9 +379,21 @@ class ConnectionMatrix(NamedTuple):
     entries: tuple[Fraction, ...]
 
     def reconstruct(self) -> Polynomial:
-        """Reassemble the polynomial the row claims to expand."""
-        n = len(self.entries) - 1
-        return linear_combination(self.entries, _grown_row(self.basis, n)[: n + 1])
+        """Reassemble the polynomial the row claims to expand:
+        sum_m entries[m] * member_m, summed in ints against the basis's
+        grown row.  Term m is a numerator over d_m, the entry's denominator
+        times the member's, so each is scaled by D/d_m with D = lcm(d_m) and
+        the sum is reduced once, with no Fraction built."""
+        members = _grown_row(self.basis, len(self.entries) - 1)
+        dens = [e.denominator * p.den for e, p in zip(self.entries, members)]
+        den = lcm(*dens)
+        acc = [0] * len(dens)
+        for e, p, d in zip(self.entries, members, dens):
+            w = e.numerator * (den // d)
+            if w:
+                for i, c in enumerate(p.nums):
+                    acc[i] += w * c
+        return _from_numerators(acc, den)
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
@@ -422,34 +452,39 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
 
     and the row is the convolution C_{n,m} = sum_{j=m}^{n} C(n,j) S1(j,m) g(n-j),
     ``_stirling_convolution``: O(n min(r,n) + n^2) terms instead of O(n^2 r).
+    It makes every m in one pass over j, reading each Stirling row once and
+    forming C(n,j) g(n-j) once per j.
 
-    Both sums run in integer numerators.  With 1/(1-lambda) = p/q and L the
-    lcm of the denominators of C_0^(k)..C_n^(k), the weights C(r,a) p^a
-    q^(r-a), a <= min(r,n), are ints, L q^r g(N) is an int, and each entry
-    is one Fraction over L q^r.
+    Both sums run in integer numerators.  With lambda = u/v, 1/(1-lambda) =
+    v/(v-u) = p/q is read off directly, in lowest terms, with no Fraction
+    arithmetic.  With L the lcm of the denominators of C_0^(k)..C_n^(k), the
+    weights C(r,a) p^a q^(r-a), a <= min(r,n), are ints, L q^r g(N) is an
+    int, and each entry is one Fraction over L q^r.
     """
     basis = Basis.frobenius_euler(r, lam)
     _refuse_negative(n)
-    step = 1 / (1 - basis.param)
-    p, q = step.numerator, step.denominator
+    # lambda = u/v in lowest terms gives 1/(1-lambda) = v/(v-u), also in
+    # lowest terms; the sign goes to the numerator.
+    u, v = basis.param.numerator, basis.param.denominator
+    p, q = (v, v - u) if v > u else (-v, u - v)
     weights = [binom(r, a) * p**a * q ** (r - a) for a in range(min(r, n) + 1)]
     numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
-    g = [
-        sum(weights[a] * perm(big_n, a) * numbers[big_n - a]
-            for a in range(min(r, big_n) + 1))
-        for big_n in range(n + 1)
-    ]
+    g = [sum([w * perm(big_n, a) * numbers[big_n - a] for a, w in enumerate(weights[: big_n + 1])])
+         for big_n in range(n + 1)]
     den *= q**r
-    entries = [Fraction(_stirling_convolution(n, m, g), den) for m in range(n + 1)]
+    entries = [Fraction(total, den) for total in _stirling_convolution(n, g)]
     return ConnectionMatrix(n, k, basis, tuple(entries))
 
 
 def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
-    """Expansion in the falling-factorial basis: C_{n,m} = C(n,m) C_{n-m}^(k)."""
+    """Expansion in the falling-factorial basis: C_{n,m} = C(n,m) C_{n-m}^(k),
+    each an int product over L, the lcm of the denominators of
+    C_0^(k)..C_n^(k)."""
     _refuse_negative(n)
+    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
     # A list, not a generator: tuple(generator) leaves one tuple per call on
     # CPython's tuple free list, and this row is on the warm query path.
-    entries = tuple([binom(n, m) * number_closed(n - m, k) for m in range(n + 1)])
+    entries = tuple([Fraction(comb(n, m) * numbers[n - m], den) for m in range(n + 1)])
     return ConnectionMatrix(n, k, Basis.falling_factorial(), entries)
 
 

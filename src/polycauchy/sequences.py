@@ -81,16 +81,17 @@ class Stirling1Table:
 
     Rows are grown on demand by the recurrence
     ``S1(n+1, l) = S1(n, l-1) - n*S1(n, l)`` up to a fixed cap, beyond which
-    lookups raise ``TableLimitError`` rather than reallocate silently.  One
-    table may be shared by threads: rows grow under a lock, and a lookup of
-    a row that already exists takes none.
+    lookups raise ``TableLimitError`` rather than reallocate silently.  Each
+    row is stored as a tuple, so the whole row that ``row`` hands out cannot
+    be edited by its reader.  One table may be shared by threads: rows grow
+    under a lock, and a lookup of a row that already exists takes none.
     """
 
     def __init__(self, n_max: int = DEFAULT_STIRLING_LIMIT):
         if n_max < 0:
             raise ValueError("table bound must be non-negative")
         self.n_max = n_max
-        self._rows: list[list[int]] = [[1]]
+        self._rows: list[tuple[int, ...]] = [(1,)]
         self._lock = threading.Lock()
 
     def value(self, n: int, l: int) -> int:
@@ -104,17 +105,26 @@ class Stirling1Table:
             self._grow(n)
         return self._rows[n][l]
 
+    def row(self, n: int) -> tuple[int, ...]:
+        """S1(n, 0..n), with the cap and the refusals of ``value``."""
+        if n < 0:
+            raise ValueError("Stirling indices must be non-negative")
+        if n > self.n_max:
+            raise TableLimitError(f"Stirling table capped at n_max={self.n_max}; requested n={n}")
+        if n >= len(self._rows):
+            self._grow(n)
+        return self._rows[n]
+
     def _grow(self, n: int) -> None:
         with self._lock:
             while len(self._rows) <= n:
                 m = len(self._rows) - 1
                 prev = self._rows[m]
-                row = [
+                # Appended whole, so a reader without the lock never sees a torn row.
+                self._rows.append(tuple([
                     (prev[l - 1] if l >= 1 else 0) - m * (prev[l] if l <= m else 0)
                     for l in range(m + 2)
-                ]
-                # Appended whole, so a reader without the lock never sees a torn row.
-                self._rows.append(row)
+                ]))
 
 
 _TABLE = Stirling1Table()

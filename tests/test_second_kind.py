@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction as F
 from math import factorial, perm
@@ -10,6 +11,7 @@ from polycauchy.poly import (
     Polynomial,
     X,
     falling_factorial_value,
+    linear_combination,
 )
 from polycauchy.sequences import (
     DEFAULT_STIRLING_LIMIT,
@@ -22,7 +24,7 @@ from polycauchy.sequences import (
     falling_factorial_poly,
     stirling1,
 )
-from polycauchy.verify import DEFAULT_Y_VALUES
+from polycauchy.verify import DEFAULT_LAMBDAS, DEFAULT_Y_VALUES
 
 KS = range(-3, 4)
 
@@ -125,11 +127,12 @@ def test_dual_path_equality(n, k):
 def test_oracle_never_reads_the_stirling_table(monkeypatch):
     # The two routes are independent: the oracle sums its falling factorials
     # by Horner's scheme in the falling basis, never from the Stirling table.
-    def refuse(self, n, l):
-        raise AssertionError(f"the oracle read S1({n}, {l})")
+    def refuse(self, n, l=None):
+        raise AssertionError(f"the oracle read S1({n}, {'.' if l is None else l})")
 
     _grown_rows.cache_clear()
     monkeypatch.setattr(Stirling1Table, "value", refuse)
+    monkeypatch.setattr(Stirling1Table, "row", refuse)
     oracle = {(n, k): sk.poly_oracle(n, k) for k in (-2, 0, 3) for n in range(17)}
     monkeypatch.undo()
     for (n, k), p in oracle.items():
@@ -512,6 +515,26 @@ def test_frobenius_row_equals_double_sum(k, lam):
             assert row == _frobenius_row_by_double_sum(n, k, r, lam), (n, r)
 
 
+def _stirling_convolution_by_double_sum(n, g):
+    """Each entry m on its own: sum_j C(n,j) S1(j,m) g[n-j], one Stirling
+    number and one binomial per (j, m)."""
+    return [sum(binom(n, j) * stirling1(j, m) * g[n - j] for j in range(m, n + 1))
+            for m in range(n + 1)]
+
+
+def test_stirling_convolution_equals_double_sum():
+    rng = random.Random(20130808)
+    for n in range(21):
+        for _ in range(4):
+            g = [rng.choice((0, rng.randint(-10**6, 10**6), rng.randint(-9, 9)))
+                 for _ in range(n + 1)]
+            expected = _stirling_convolution_by_double_sum(n, g)
+            assert sk._stirling_convolution(n, g) == expected, (n, g)
+            for m in range(n + 1):
+                assert sk._stirling_entry(n, m, g) == expected[m], (n, m, g)
+    assert sk._stirling_convolution(6, [0] * 7) == [0] * 7
+
+
 def test_connection_to_frobenius_holds_no_blocks_between_calls():
     # The row is on the warm query path: its lcm and entries must leave
     # nothing on CPython's tuple free list from one call to the next.
@@ -573,6 +596,47 @@ def test_reconstruct_is_the_weighted_sum_of_members(basis):
         assert row.reconstruct() == expected, row.entries
 
 
+def _reconstruct_by_linear_combination(row):
+    """The row summed as Fractions: ``linear_combination`` of its entries
+    and the basis members of degree 0..n."""
+    return linear_combination(row.entries, [sk.basis_member(row.basis, m)
+                                            for m in range(len(row.entries))])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [Basis.falling_factorial(), Basis.higher_order_bernoulli(3),
+     Basis.frobenius_euler(4, F(-1, 3))],
+    ids=lambda basis: basis.kind.value,
+)
+@pytest.mark.parametrize("k", KS)
+def test_reconstruct_equals_linear_combination(basis, k):
+    for n in range(13):
+        row = sk.connection(n, k, basis)
+        rebuilt = row.reconstruct()
+        assert rebuilt == _reconstruct_by_linear_combination(row), n
+        assert rebuilt == sk.poly_closed(n, k), n
+        # A row whose entries do not sum to the closed polynomial.
+        off = row._replace(entries=row.entries[:-1] + (F(n + 2, 3),))
+        assert off.reconstruct() == _reconstruct_by_linear_combination(off), n
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [Basis.falling_factorial(), Basis.frobenius_euler(2, F(-1, 3))],
+    ids=lambda basis: basis.kind.value,
+)
+def test_reconstruct_holds_no_blocks_between_calls(basis):
+    rows = [sk.connection(n, 1, basis) for n in range(21)]
+    for row in rows:
+        row.reconstruct()
+    before = sys.getallocatedblocks()
+    for _ in range(200):
+        for row in rows:
+            row.reconstruct()
+    assert sys.getallocatedblocks() - before < 1000
+
+
 @pytest.mark.parametrize(
     "make, field, other",
     [
@@ -594,15 +658,14 @@ def test_value_types_are_immutable_and_hashable(make, field, other):
 
 
 @pytest.mark.parametrize("k", range(-2, 3))
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(13))
 def test_triangular_solve_agrees_with_formulas(n, k):
-    for matrix in (
-        sk.connection_to_bernoulli(n, k, 2),
-        sk.connection_to_frobenius(n, k, 1, F(-1)),
-        sk.connection_to_frobenius(n, k, 0, F(2)),
-        sk.connection_to_frobenius(n, k, 3, F(2)),
-        sk.connection_to_falling(n, k),
-    ):
+    matrices = [sk.connection_to_falling(n, k)]
+    matrices += [sk.connection_to_frobenius(n, k, r, lam)
+                 for r in range(5) for lam in DEFAULT_LAMBDAS]
+    if n < 7:
+        matrices.append(sk.connection_to_bernoulli(n, k, 2))
+    for matrix in matrices:
         solved = sk.connection_by_triangular_solve(n, k, matrix.basis)
         assert solved.entries == matrix.entries, matrix.basis
         assert sk.connection(n, k, matrix.basis) == matrix

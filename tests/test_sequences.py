@@ -61,10 +61,31 @@ def test_stirling_table_cap():
         table.value(6, 1)
 
 
+def test_stirling_row_is_the_row_of_values():
+    table = Stirling1Table(n_max=12)
+    for n in range(13):
+        row = table.row(n)
+        assert type(row) is tuple
+        assert list(row) == [table.value(n, l) for l in range(n + 1)]
+    with pytest.raises(TypeError):
+        table.row(4)[1] = 0
+
+
+@pytest.mark.parametrize("n, error", [(-1, ValueError), (6, TableLimitError)])
+def test_stirling_row_refuses_before_growing(n, error):
+    table = Stirling1Table(n_max=5)
+    with pytest.raises(error):
+        table.row(n)
+    assert len(table._rows) == 1
+    with pytest.raises(error):
+        table.value(n, 0)
+    assert len(table._rows) == 1
+
+
 def test_stirling_table_grows_safely_under_threads():
-    # Several threads growing fresh tables at once; a lost or duplicated row
-    # shifts every later row.
-    expected = [[stirling1(n, l) for l in range(n + 1)] for n in range(41)]
+    # Several threads growing fresh tables at once, through ``value`` and
+    # ``row``; a lost or duplicated row shifts every later row.
+    expected = [tuple([stirling1(n, l) for l in range(n + 1)]) for n in range(41)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -77,7 +98,10 @@ def test_stirling_table_grows_safely_under_threads():
                 barrier.wait(timeout=30)
                 try:
                     for n in range(top, 41, 8):
-                        table.value(n, n // 2)
+                        if top % 2:
+                            assert table.row(n) == expected[n]
+                        else:
+                            table.value(n, n // 2)
                 except Exception as exc:  # reported below with the table state
                     errors.append(exc)
 
