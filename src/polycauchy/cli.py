@@ -37,10 +37,11 @@ raised in whichever layer finds it; ``main`` alone turns it, or an
 ``OSError``, into exit 2.  The size flags ``gen --n-max``, ``expand --n``
 and ``series --order`` share one cap, the Stirling table's
 ``DEFAULT_STIRLING_LIMIT`` (64), and are checked before any work.  The order
-k is uncapped; a huge |k|, a ``polycauchy-gf`` coefficient and the last row
-of a ``gen polycauchy2-*`` table too wide to print are refused from sizes
-alone, before the value is built.  Below those bounds ``gen polycauchy2-*``
-builds and formats its last row before the rows under it.
+k is uncapped; a huge |k|, a ``polycauchy-gf`` coefficient, the last row of
+a ``gen polycauchy2-*`` table and the C_n^(k) that opens an ``expand --basis
+falling`` row too wide to print are refused from sizes alone, before the
+value is built.  Below those bounds ``gen polycauchy2-*`` builds and formats
+its last row before the rows under it.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from . import second_kind as sk
 from . import sequences as seq
 from .exact import (UnprintableRationalError, UsageError, format_numerators, format_rational,
                     parse_rational, unprintable_power)
-from .poly import Basis, Polynomial, _frobenius_euler_lambda
+from .poly import Basis, BasisKind, Polynomial, _frobenius_euler_lambda
 
 __all__ = ["main", "build_parser"]
 
@@ -415,6 +416,9 @@ def _cmd_expand(args) -> int:
         # monic, so entry n-1 of the row is -(that sum + [x^(n-1)] member).
         member = sk.basis_member(basis, args.n)
         _refuse_unprintable_k(args.k, args.n, comb(args.n, 2) + member.coefficient(args.n - 1))
+        if basis.kind is BasisKind.FALLING_FACTORIAL:
+            # Entry 0 of the falling row is C_n^(k) itself.
+            _refuse_unprintable_gf_coefficient(args.n, args.k, over_factorial=False)
     matrix = sk.connection(args.n, args.k, basis)
     # A row too large to print is refused before the check rebuilds it.
     coefficients = [format_rational(c) for c in matrix.entries]

@@ -42,8 +42,13 @@ Horner's scheme Q <- w_j + (x - j) Q down to the lowest nonzero weight and
 one product by the falling factorial there, so it never reads the Stirling
 table.
 
-Closed-route values are memoized per (n, k).  The oracle, like each basis of
-the expansions, is a Sheffer family whose grown rows sit in the row memo of
+Closed-route values are memoized per (n, k), and so is the number row,
+``_number_row``: the integer numerators of C_0^(k)..C_n^(k) over their lcm,
+as a tuple.  Theorem 4's two contractions and the falling and Frobenius-Euler
+rows read it whole, so a warm row does not rebuild the lcm from the numbers'
+Fractions on every call.  The numbers keep their own memo, since Theorem 5's
+row reads them one at a time.  The oracle, like each basis of the
+expansions, is a Sheffer family whose grown rows sit in the row memo of
 ``sequences``: degree n is read from the row of order ``grown_order(n)``, and
 equals the value built from a fresh series of order n+1.  The oracle numbers
 are the oracle polynomials at x = 0.  The caches are invisible to results.
@@ -177,6 +182,15 @@ def number_closed(n: int, k: int) -> Fraction:
     return _stirling_sums(n, k, 1, 1).coefficient(0)
 
 
+@lru_cache(maxsize=None)
+def _number_row(n: int, k: int) -> tuple[tuple[int, ...], int]:
+    """The integer numerators of C_0^(k)..C_n^(k) over their lcm L, and L:
+    the number row that Theorems 4, 6 and 7 read whole.  The numerators are
+    a tuple, so no reader can change the shared row."""
+    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
+    return tuple(numbers), den
+
+
 def number_bernoulli_form(n: int, k: int) -> Fraction:
     """C_n^(k) = sum_{l=0}^{n-1} (-1)^(l+1) C(n-1,l) B_{n-1-l}^{(n)} / (l+2)^k,
     stated for n >= 1."""
@@ -307,7 +321,7 @@ def theorem4_sides(n: int, m: int, k: int) -> tuple[Fraction, Fraction]:
     if not 1 <= m <= n:
         raise ValueError("the contraction identity needs n >= m >= 1")
     top = n - m
-    numbers, den = _integer_numerators([number_closed(i, k) for i in range(top + 1)])
+    numbers, den = _number_row(top, k)
     lhs = Fraction(factorial(m) * _stirling_entry(n, m, numbers), den)
     row = _TABLE.row
     outer = [factorial(m - 1) * comb(n - 1, j) * row(j)[m - 1] for j in range(m - 1, n)]
@@ -328,7 +342,7 @@ def theorem4_m1_corrected_sides(n: int, k: int) -> tuple[Fraction, Fraction]:
     C_0^(k)..C_{n-1}^(k) taken over their lcm, with no Stirling number."""
     if n < 1:
         raise ValueError("the m = 1 contraction needs n >= 1")
-    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n)])
+    numbers, den = _number_row(n - 1, k)
     total = sum(_sign(l) * factorial(l) * comb(n, l + 1) * numbers[n - l - 1] for l in range(n))
     return poly_closed(n - 1, k - 1)(-1), Fraction(total, den)
 
@@ -468,7 +482,7 @@ def connection_to_frobenius(n: int, k: int, r: int, lam: Fraction | int) -> Conn
     u, v = basis.param.numerator, basis.param.denominator
     p, q = (v, v - u) if v > u else (-v, u - v)
     weights = [binom(r, a) * p**a * q ** (r - a) for a in range(min(r, n) + 1)]
-    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
+    numbers, den = _number_row(n, k)
     g = [sum([w * perm(big_n, a) * numbers[big_n - a] for a, w in enumerate(weights[: big_n + 1])])
          for big_n in range(n + 1)]
     den *= q**r
@@ -481,7 +495,7 @@ def connection_to_falling(n: int, k: int) -> ConnectionMatrix:
     each an int product over L, the lcm of the denominators of
     C_0^(k)..C_n^(k)."""
     _refuse_negative(n)
-    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
+    numbers, den = _number_row(n, k)
     # A list, not a generator: tuple(generator) leaves one tuple per call on
     # CPython's tuple free list, and this row is on the warm query path.
     entries = tuple([Fraction(comb(n, m) * numbers[n - m], den) for m in range(n + 1)])

@@ -35,8 +35,10 @@ is read from the row of order ``grown_order(n)``, the least power of two at
 or above n.  A caller that reads degrees 0..N, as a ``gen`` table or a
 connection row does, reads them from one row, keyed by ``grown_order(N)``;
 an ascending scan one degree at a time builds rows of orders 0, 1, 2, 4,
-..., which together cost about one build at the last order.  The Bernoulli
-numbers of the second kind are the polynomials at x = 0.
+..., which together cost about 1.35 builds at the last order (the oracle at
+k = 3: orders 0..16 took 1.75 ms in all, order 32 5.0 ms, on a 2-vCPU host
+with Python 3.11).  The Bernoulli numbers of the second kind are the
+polynomials at x = 0.
 """
 
 from __future__ import annotations

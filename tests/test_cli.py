@@ -180,14 +180,17 @@ def test_expand_refuses_an_unprintable_row_before_reconstructing_it(capsys, monk
     ("gen", "polycauchy2-number", "--k", "100000000000", "--n-max", "1"),
     ("series", "lif:-100000000000", "--order", "1"),
     ("expand", "--n", "4", "--k", "100000000000", "--basis", "falling"),
+    ("expand", "--n", "64", "--k", "3000", "--basis", "falling"),
 ], ids=["gen-number", "gen-poly", "series-polycauchy-gf", "series-lif", "expand-falling",
         "expand-bernoulli", "expand-frobenius", "expand-frobenius-negative-k",
         "series-polycauchy-gf-last-coefficient", "gen-number-huge-k", "series-lif-huge-k",
-        "expand-falling-huge-k"])
+        "expand-falling-huge-k", "expand-falling-first-entry"])
 def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, argv):
     # C_1^(k) = -2^(-k) is in each of these outputs, so its digits alone
     # decide the refusal; no row builder may run first.  At k = 6000 C_1
     # prints, and the series' last coefficient, in closed form, refuses.
+    # At k = 3000 C_1 prints too, and entry 0 of the falling row, C_64^(k),
+    # is refused from the bound on its reduced denominator.
     def builder(*args):
         raise AssertionError("built a row that cannot be printed")
 
@@ -658,6 +661,7 @@ def test_verify_unknown_identity(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.usefixtures("fresh_number_row")
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     true_number = sk.number_closed
     monkeypatch.setattr(sk, "number_closed", lambda n, k: true_number(n, k) + (n == 1))

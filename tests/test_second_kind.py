@@ -10,6 +10,7 @@ from polycauchy.poly import (
     Basis,
     Polynomial,
     X,
+    _integer_numerators,
     falling_factorial_value,
     linear_combination,
 )
@@ -90,6 +91,14 @@ def test_number_bernoulli_form(k):
 def test_number_bernoulli_form_needs_positive_index():
     with pytest.raises(ValueError, match="n >= 1"):
         sk.number_bernoulli_form(0, 1)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_number_row_is_the_numbers_over_their_lcm(k):
+    for n in range(64):
+        nums, den = _integer_numerators([sk.number_closed(i, k) for i in range(n + 1)])
+        # A tuple, which a list never equals: every reader shares this row.
+        assert sk._number_row(n, k) == (tuple(nums), den), (n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +556,7 @@ def test_connection_to_frobenius_holds_no_blocks_between_calls():
     assert sys.getallocatedblocks() - before < 1000
 
 
+@pytest.mark.usefixtures("fresh_number_row")
 def test_frobenius_row_reads_each_number_once_per_shift(monkeypatch):
     n, r = 20, 4
     seen = []

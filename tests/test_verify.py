@@ -167,6 +167,7 @@ def test_fault_injection_is_reported_not_raised(monkeypatch):
     assert {c.identity for c in report.checks} == {"thm2.recurrence", "difference"}
 
 
+@pytest.mark.usefixtures("fresh_number_row")
 def test_fault_injection_text_prints_both_sides(monkeypatch):
     true_number = sk.number_closed
     monkeypatch.setattr(

@@ -63,6 +63,7 @@ def test_report_bytes_do_not_depend_on_the_worker_count(capsys, monkeypatch, gri
         assert_no_child()
 
 
+@pytest.mark.usefixtures("fresh_number_row")
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_failures_made_in_a_worker_reach_the_report(capsys, monkeypatch, fmt):
     true_number = sk.number_closed
@@ -298,6 +299,7 @@ def short_difference(monkeypatch, in_child):
         monkeypatch.setattr(os, "fork", first_fork_fails)
 
 
+@pytest.mark.usefixtures("fresh_number_row")
 @pytest.mark.parametrize("path", ["ok", "failure", "order-error-in-child",
                                   "order-error-in-parent", "full-disk"])
 def test_no_worker_outlives_verify(capsys, monkeypatch, path):
