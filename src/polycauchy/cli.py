@@ -40,8 +40,9 @@ and ``series --order`` share one cap, the Stirling table's
 k is uncapped; a huge |k|, a ``polycauchy-gf`` coefficient, the last row of
 a ``gen polycauchy2-*`` table and the C_n^(k) that opens an ``expand --basis
 falling`` row too wide to print are refused from sizes alone, before the
-value is built.  Below those bounds ``gen polycauchy2-*`` builds and formats
-its last row before the rows under it.
+value is built.  Below those bounds ``gen polycauchy2-poly`` builds and
+formats its last row before the rows under it, and ``gen polycauchy2-number``
+formats the one number row of ``--n-max``.
 """
 
 from __future__ import annotations
@@ -327,64 +328,82 @@ def _emit(args, command: str, params: dict, rows: Iterable[dict], columns: list[
 # ---------------------------------------------------------------------------
 # Subcommands
 
-# gen sequence -> (required (dest, flag) pairs, result column, source).  The
-# source is the value at degree n, or, for a Sheffer family, the family and
-# its parameters: a table of degrees 0..N is then the first N+1 members of
-# the family's one grown row of order grown_order(N).
+def _refuse_unprintable_table(args) -> None:
+    """C_1^(k) is in every ``gen polycauchy2-*`` table with n-max >= 1, and
+    C_N^(k) in its last row: either one, refused from its size, refuses the
+    table before any row is built."""
+    if args.n_max >= 1:
+        _refuse_unprintable_k(args.k)
+        _refuse_unprintable_gf_coefficient(args.n_max, args.k, over_factorial=False)
+
+
+def _number_column(args) -> list[str]:
+    """C_0^(k)..C_N^(k), formatted from the one number row of N."""
+    _refuse_unprintable_table(args)
+    return format_numerators(*sk._number_row(args.n_max, args.k))
+
+
+def _poly_column(args) -> list[list[str]]:
+    """C_0^(k)(x)..C_N^(k)(x); the last row, the widest, is built and
+    formatted before the rows below it."""
+    _refuse_unprintable_table(args)
+    last = _poly_strings(sk.poly_closed(args.n_max, args.k))
+    return [_poly_strings(sk.poly_closed(n, args.k)) for n in range(args.n_max)] + [last]
+
+
+def _family_column(family: seq._Sheffer, params: Callable) -> Callable:
+    """The column of a Sheffer family, whose parameters ``params(args)``
+    reads: the first N+1 members of its one grown row of order
+    grown_order(N)."""
+    def column(args) -> list[list[str]]:
+        row = seq._grown_rows(family, params(args), seq.grown_order(args.n_max))
+        return [_poly_strings(p) for p in row[: args.n_max + 1]]
+
+    return column
+
+
+# gen sequence -> (required (dest, flag) pairs, result column, the column's
+# values for n = 0..N as a function of the parsed arguments).
 _GEN = {
-    "polycauchy2-number": (
-        (("k", "--k"),),
-        "value",
-        lambda args, n: format_rational(sk.number_closed(n, args.k)),
-    ),
-    "polycauchy2-poly": (
-        (("k", "--k"),),
-        "coefficients",
-        lambda args, n: _poly_strings(sk.poly_closed(n, args.k)),
-    ),
+    "polycauchy2-number": ((("k", "--k"),), "value", _number_column),
+    "polycauchy2-poly": ((("k", "--k"),), "coefficients", _poly_column),
     "stirling1": (
         (),
         "values",
-        lambda args, n: [format_rational(seq.stirling1(n, l)) for l in range(n + 1)],
+        lambda args: [[format_rational(seq.stirling1(n, l)) for l in range(n + 1)]
+                      for n in range(args.n_max + 1)],
     ),
-    "bernoulli2": ((), "coefficients", (seq._NARUMI, lambda args: (-1,))),
+    "bernoulli2": ((), "coefficients", _family_column(seq._NARUMI, lambda args: (-1,))),
     "bernoulli-order": (
         (("alpha", "--alpha"),),
         "coefficients",
-        (seq._HIGH_ORDER_BERNOULLI, lambda args: (args.alpha,)),
+        _family_column(seq._HIGH_ORDER_BERNOULLI, lambda args: (args.alpha,)),
     ),
     "frobenius-euler": (
         (("r", "--r"), ("lam", "--lambda")),
         "coefficients",
-        (seq._FROBENIUS_EULER, lambda args: (args.r, _frobenius_euler_lambda(args.r, args.lam))),
+        _family_column(seq._FROBENIUS_EULER,
+                       lambda args: (args.r, _frobenius_euler_lambda(args.r, args.lam))),
     ),
-    "narumi": ((("a", "--a"),), "coefficients", (seq._NARUMI, lambda args: (args.a,))),
+    "narumi": (
+        (("a", "--a"),),
+        "coefficients",
+        _family_column(seq._NARUMI, lambda args: (args.a,)),
+    ),
 }
 
 
 def _cmd_gen(args) -> int:
     _check_size("--n-max", args.n_max)
     name = args.sequence
-    required, column, source = _GEN[name]
+    required, column, values = _GEN[name]
     params: dict = {"sequence": name, "n_max": args.n_max}
     for dest, flag in required:
         given = getattr(args, dest)
         if given is None:
             raise UsageError(f"sequence {name!r} requires {flag}")
         params[flag[2:]] = format_rational(given) if isinstance(given, Fraction) else given
-    if isinstance(source, tuple):
-        family, family_params = source
-        row = seq._grown_rows(family, family_params(args), seq.grown_order(args.n_max))
-        rows = [{"n": n, column: _poly_strings(p)} for n, p in enumerate(row[: args.n_max + 1])]
-    else:
-        ns = range(args.n_max + 1)
-        if name.startswith("polycauchy2-") and args.n_max >= 1:
-            _refuse_unprintable_k(args.k)
-            # The last row holds C_N^(k): refused from a bound on its reduced
-            # denominator, or built and formatted before the rows below it.
-            _refuse_unprintable_gf_coefficient(args.n_max, args.k, over_factorial=False)
-            ns = [args.n_max, *ns[:-1]]
-        rows = sorted(({"n": n, column: source(args, n)} for n in ns), key=lambda row: row["n"])
+    rows = [{"n": n, column: value} for n, value in enumerate(values(args))]
     _emit(args, "gen", params, rows, ["n", column])
     return 0
 

@@ -16,8 +16,10 @@ sign reduction, ``_lowest_terms``.  Fractions are built only where
 coefficients are read and by evaluation, Horner's scheme in ``Fraction``s
 over the numerators with one division by ``den``.  Two kernels do the
 arithmetic: every sum, difference, negation, scalar multiple and scalar
-quotient is one ``linear_combination``, and every product of two
-polynomials, or of two series, is one ``_convolve_ints``.  ``shift`` runs
+quotient, and every connection row's reconstruction, is one
+``_weighted_sum`` (the first through ``linear_combination``, which checks
+its inputs), and every product of two polynomials, or of two series, is one
+``_convolve_ints``.  ``shift`` runs
 Horner's scheme on the same integer numerators.
 
 The module also holds the basis tags (``Basis``) of the connection-coefficient
@@ -247,22 +249,36 @@ def linear_combination(
 ) -> Polynomial:
     """sum_i weights[i] * polys[i], summed in integer numerators.
 
-    The weights are brought to one common denominator and the polynomials'
-    numerators to another, products accumulate as ints, and the result is
-    reduced once.  Zero weights and zero polynomials are skipped; inputs of
-    unequal length raise ``ValueError``.
+    A float weight raises ``TypeError``, inputs of unequal length raise
+    ``ValueError``, and zero weights and zero polynomials are skipped; the
+    rest is summed by ``_weighted_sum``.
     """
-    scales, w_den = _integer_numerators(weights)
-    terms = [(w, p) for w, p in zip(scales, polys, strict=True) if w and p]
+    items = [w if isinstance(w, _SCALARS) else _exact(w) for w in weights]
+    terms = [(w, p) for w, p in zip(items, polys, strict=True) if w and p]
     if not terms:
         return Polynomial()
-    p_den = lcm(*{p.den for _, p in terms})
-    acc = [0] * max([len(p.nums) for _, p in terms])
-    for w, p in terms:
-        w *= p_den // p.den
-        for i, c in enumerate(p.nums):
-            acc[i] += w * c
-    return _from_numerators(acc, w_den * p_den)
+    scales, kept = zip(*terms)
+    return _weighted_sum(scales, kept, max([len(p.nums) for p in kept]))
+
+
+def _weighted_sum(weights: Sequence[Fraction | int], polys: Sequence[Polynomial],
+                  width: int) -> Polynomial:
+    """sum_i weights[i] * polys[i] for exact weights and polynomials of
+    at most ``width`` coefficients, with no check: the integer core of
+    ``linear_combination`` and of ``ConnectionMatrix.reconstruct``.  Term i
+    is a numerator over d_i, the weight's denominator times the
+    polynomial's, so each is scaled by D/d_i with D = lcm(d_i), products
+    accumulate as ints, and the sum is reduced once.  Pairs are taken as
+    far as the shorter input goes."""
+    dens = [w.denominator * p.den for w, p in zip(weights, polys)]
+    den = lcm(*dens)
+    acc = [0] * width
+    for w, p, d in zip(weights, polys, dens):
+        w = w.numerator * (den // d)
+        if w:
+            for i, c in enumerate(p.nums):
+                acc[i] += w * c
+    return _from_numerators(acc, den)
 
 
 def _combine(weights: tuple[int, int], p: Polynomial, other: object) -> Polynomial:

@@ -18,8 +18,11 @@ sum_{m>=j} S1(n,m) (-1)^(m-j) C(m,j) / (m-j+c)^k for every j at once as the
 integer numerators of a ``Polynomial`` over one common denominator (FLINT's
 ``fmpq_poly`` layout, the one ``Polynomial`` stores): lcm(c..n+c)^k for
 k >= 0 and 1 for k < 0.  ``poly_closed`` is that polynomial at c = 1,
-``number_closed`` its constant term, ``closed_coefficient`` one of its
-coefficients, and Theorem 2's braced weights are the polynomial at c = 2.
+``closed_coefficient`` one of its coefficients, and Theorem 2's braced
+weights are the polynomial at c = 2.  The numbers have a row of their own,
+``_number_row``: C_0^(k)..C_n^(k) over their lcm, each entry the dot product
+of one Stirling row with the powers 1/(m+1)^k over lcm(1..n+1)^k, made once
+per row, and ``number_closed`` is its last entry.
 The same layout runs Theorem 6's factored row, ``connection_to_frobenius``:
 the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
 1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r whose
@@ -42,12 +45,11 @@ Horner's scheme Q <- w_j + (x - j) Q down to the lowest nonzero weight and
 one product by the falling factorial there, so it never reads the Stirling
 table.
 
-Closed-route values are memoized per (n, k), and so is the number row,
-``_number_row``: the integer numerators of C_0^(k)..C_n^(k) over their lcm,
-as a tuple.  Theorem 4's two contractions and the falling and Frobenius-Euler
-rows read it whole, so a warm row does not rebuild the lcm from the numbers'
-Fractions on every call.  The numbers keep their own memo, since Theorem 5's
-row reads them one at a time.  The oracle, like each basis of the
+The closed route holds two memos, per (n, k): the closed polynomials and
+the number row, the one store of the numbers, as a tuple.  Every reader of
+the numbers goes through the row: ``number_closed``, Theorem 4's two
+contractions and the Bernoulli, Frobenius-Euler and falling rows, which
+read it once per call.  The oracle, like each basis of the
 expansions, is a Sheffer family whose grown rows sit in the row memo of
 ``sequences``: degree n is read from the row of order ``grown_order(n)``, and
 equals the value built from a fresh series of order n+1.  The oracle numbers
@@ -69,7 +71,8 @@ from .poly import (
     X,
     _exact,
     _from_numerators,
-    _integer_numerators,
+    _lowest_terms,
+    _weighted_sum,
     expand_in_monic_basis,
     linear_combination,
 )
@@ -176,19 +179,36 @@ def _stirling_sums(n: int, k: int, c: int, width: int) -> Polynomial:
     return _from_numerators(totals, den)
 
 
-@lru_cache(maxsize=None)
 def number_closed(n: int, k: int) -> Fraction:
-    """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k."""
-    return _stirling_sums(n, k, 1, 1).coefficient(0)
+    """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k: the last entry of
+    the number row."""
+    numbers, den = _number_row(n, k)
+    return Fraction(numbers[n], den)
 
 
 @lru_cache(maxsize=None)
 def _number_row(n: int, k: int) -> tuple[tuple[int, ...], int]:
     """The integer numerators of C_0^(k)..C_n^(k) over their lcm L, and L:
-    the number row that Theorems 4, 6 and 7 read whole.  The numerators are
-    a tuple, so no reader can change the shared row."""
-    numbers, den = _integer_numerators([number_closed(i, k) for i in range(n + 1)])
-    return tuple(numbers), den
+    the one store of the numbers, which Theorems 4 to 7 read whole.  The
+    numerators are a tuple, so no reader can change the shared row.
+
+    One pass over the Stirling rows, in ints: with B = lcm(1..n+1), each
+    1/(m+1)^k is (B/(m+1))^k / B^k for k >= 0, and the integer (m+1)^|k|
+    for k < 0.  Those powers, signed by (-1)^m, are made once, entry i is
+    the dot product of S1(i, 0..i) with them, and one gcd takes the row
+    from B^k to L.  The rows are read first, so a degree past the cap is
+    refused before B is built."""
+    _refuse_negative(n)
+    rows = [_TABLE.row(i) for i in range(n + 1)]
+    if k >= 0:
+        base = lcm(*range(1, n + 2))
+        powers = [(base // (m + 1)) ** k for m in range(n + 1)]
+        den = base**k
+    else:
+        powers = [(m + 1) ** -k for m in range(n + 1)]
+        den = 1
+    powers[1::2] = [-p for p in powers[1::2]]
+    return _lowest_terms([sum([s * p for s, p in zip(row, powers)]) for row in rows], den)
 
 
 def number_bernoulli_form(n: int, k: int) -> Fraction:
@@ -395,19 +415,10 @@ class ConnectionMatrix(NamedTuple):
     def reconstruct(self) -> Polynomial:
         """Reassemble the polynomial the row claims to expand:
         sum_m entries[m] * member_m, summed in ints against the basis's
-        grown row.  Term m is a numerator over d_m, the entry's denominator
-        times the member's, so each is scaled by D/d_m with D = lcm(d_m) and
-        the sum is reduced once, with no Fraction built."""
-        members = _grown_row(self.basis, len(self.entries) - 1)
-        dens = [e.denominator * p.den for e, p in zip(self.entries, members)]
-        den = lcm(*dens)
-        acc = [0] * len(dens)
-        for e, p, d in zip(self.entries, members, dens):
-            w = e.numerator * (den // d)
-            if w:
-                for i, c in enumerate(p.nums):
-                    acc[i] += w * c
-        return _from_numerators(acc, den)
+        grown row by ``poly._weighted_sum``, with no Fraction built.  Member
+        m has degree m, so the sum is as wide as the row."""
+        width = len(self.entries)
+        return _weighted_sum(self.entries, _grown_row(self.basis, width - 1), width)
 
 
 def basis_member(basis: Basis, m: int) -> Polynomial:
@@ -430,10 +441,13 @@ def connection_to_bernoulli(
     C_{n,m} = sum_{l=0}^{n-m} sum_{a=0}^{n-m-l} C(n,l+m) C(n-m-l,a)
               S1(l+m,m) w_{a,r} C_{n-m-l-a}^(k)
 
-    with w_{a,r} the ``bernoulli2nd_power_weight`` of the chosen route.
+    with w_{a,r} the ``bernoulli2nd_power_weight`` of the chosen route.  The
+    numbers are read once, as the numerators of the number row over their
+    lcm L, and each entry is divided by L once.
     """
     basis = Basis.higher_order_bernoulli(r)
     _refuse_negative(n)
+    numbers, den = _number_row(n, k)
     entries = []
     for m in range(n + 1):
         total = Fraction(0)
@@ -447,9 +461,9 @@ def connection_to_bernoulli(
                     prefix
                     * binom(n - m - l, a)
                     * bernoulli2nd_power_weight(a, r, route)
-                    * number_closed(n - m - l - a, k)
+                    * numbers[n - m - l - a]
                 )
-        entries.append(total)
+        entries.append(total / den)
     return ConnectionMatrix(n, k, basis, tuple(entries))
 
 

@@ -101,14 +101,10 @@ class Stirling1Table:
             raise ValueError("Stirling indices must be non-negative")
         if l > n:
             return 0
-        if n > self.n_max:
-            raise TableLimitError(f"Stirling table capped at n_max={self.n_max}; requested n={n}")
-        if n >= len(self._rows):
-            self._grow(n)
-        return self._rows[n][l]
+        return self.row(n)[l]
 
     def row(self, n: int) -> tuple[int, ...]:
-        """S1(n, 0..n), with the cap and the refusals of ``value``."""
+        """S1(n, 0..n), grown on demand up to the cap."""
         if n < 0:
             raise ValueError("Stirling indices must be non-negative")
         if n > self.n_max:

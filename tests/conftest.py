@@ -6,10 +6,16 @@ from polycauchy import second_kind as sk
 
 
 @pytest.fixture
-def fresh_number_row():
-    """Empty the number-row memo before and after the test.  A test that
-    patches ``sk.number_closed`` uses it, so that its patch reaches every
-    number row it reads, and no row built from the patch outlives it."""
-    sk._number_row.cache_clear()
-    yield
-    sk._number_row.cache_clear()
+def first_number_off_by_one(monkeypatch):
+    """Put C_1^(k) off by one for the rest of the test.  Every reader of the
+    numbers goes through the number row, ``sk._number_row``, so one patch
+    of it reaches them all; the true rows stay in the memo untouched."""
+    true_row = sk._number_row
+
+    def off_by_one(n, k):
+        numbers, den = true_row(n, k)
+        if n < 1:
+            return numbers, den
+        return (numbers[0], numbers[1] + den, *numbers[2:]), den
+
+    monkeypatch.setattr(sk, "_number_row", off_by_one)

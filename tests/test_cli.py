@@ -43,6 +43,26 @@ def test_gen_numbers_csv(capsys):
     assert out.splitlines() == ['"n","value"', '0,"1/1"', '1,"-1/2"', '2,"5/6"']
 
 
+@pytest.mark.parametrize("k", [-3, 0, 40])
+def test_gen_numbers_read_one_number_row(capsys, monkeypatch, k):
+    reads = []
+    number_row = sk._number_row
+
+    def counted(n, order):
+        reads.append((n, order))
+        return number_row(n, order)
+
+    monkeypatch.setattr(sk, "_number_row", counted)
+    monkeypatch.setattr(sk, "number_closed", None)
+    code, out, _ = run_cli(capsys, "gen", "polycauchy2-number", "--k", str(k), "--n-max", "64",
+                           "--format", "json")
+    assert code == 0
+    assert reads == [(64, k)]
+    # Each number summed on its own, by the closed-polynomial kernel.
+    assert [row["value"] for row in json.loads(out)["rows"]] == [
+        format_rational(sk._stirling_sums(n, k, 1, 1).coefficient(0)) for n in range(65)]
+
+
 def test_gen_stirling_triangle(capsys):
     code, out, _ = run_cli(capsys, "gen", "stirling1", "--n-max", "3", "--format", "csv")
     assert code == 0
@@ -135,7 +155,7 @@ def test_size_flags_share_the_stirling_cap(capsys, monkeypatch, argv, values):
     assert code == 0
     assert len(values(json.loads(out)["rows"])) == 65
     # Beyond the cap the flag is refused before any value is computed.
-    for name in ("number_closed", "connection", "gf_number_series"):
+    for name in ("number_closed", "_number_row", "connection", "gf_number_series"):
         monkeypatch.setattr(sk, name, None)
     monkeypatch.setattr(seq, "lif_series", None)
     for size in ("65", "2000"):
@@ -194,7 +214,8 @@ def test_unprintable_k_is_refused_before_any_row_is_built(capsys, monkeypatch, a
     def builder(*args):
         raise AssertionError("built a row that cannot be printed")
 
-    for name in ("number_closed", "poly_closed", "gf_number_series", "connection"):
+    for name in ("number_closed", "_number_row", "poly_closed", "gf_number_series",
+                 "connection"):
         monkeypatch.setattr(sk, name, builder)
     monkeypatch.setattr(seq, "lif_series", builder)
     code, out, err = run_cli(capsys, *argv)
@@ -661,10 +682,8 @@ def test_verify_unknown_identity(capsys):
     assert "bogus" in err
 
 
-@pytest.mark.usefixtures("fresh_number_row")
-def test_verify_exit_one_on_failure(capsys, monkeypatch):
-    true_number = sk.number_closed
-    monkeypatch.setattr(sk, "number_closed", lambda n, k: true_number(n, k) + (n == 1))
+@pytest.mark.usefixtures("first_number_off_by_one")
+def test_verify_exit_one_on_failure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--k-min", "0", "--k-max", "0",
                            "--identity", "thm7.falling-basis")
     assert code == 1

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction as F
 from math import factorial, perm
 
@@ -12,7 +13,6 @@ from polycauchy.poly import (
     X,
     _integer_numerators,
     falling_factorial_value,
-    linear_combination,
 )
 from polycauchy.sequences import (
     DEFAULT_STIRLING_LIMIT,
@@ -95,8 +95,10 @@ def test_number_bernoulli_form_needs_positive_index():
 
 @pytest.mark.parametrize("k", range(-4, 5))
 def test_number_row_is_the_numbers_over_their_lcm(k):
+    # Each number summed on its own, by the closed-polynomial kernel.
     for n in range(64):
-        nums, den = _integer_numerators([sk.number_closed(i, k) for i in range(n + 1)])
+        numbers = [sk._stirling_sums(i, k, 1, 1).coefficient(0) for i in range(n + 1)]
+        nums, den = _integer_numerators(numbers)
         # A tuple, which a list never equals: every reader shares this row.
         assert sk._number_row(n, k) == (tuple(nums), den), (n, k)
 
@@ -210,6 +212,11 @@ def test_closed_route_refuses_degrees_past_the_cap():
         sk.number_closed(CAP + 1, 1)
     with pytest.raises(TableLimitError):
         sk.poly_closed(CAP + 1, -1)
+    # Refused from the Stirling table, before lcm(1..n+1)^k is built.
+    started = time.perf_counter()
+    with pytest.raises(TableLimitError):
+        sk.number_closed(10**6, 3)
+    assert time.perf_counter() - started < 1
 
 
 # ---------------------------------------------------------------------------
@@ -556,20 +563,27 @@ def test_connection_to_frobenius_holds_no_blocks_between_calls():
     assert sys.getallocatedblocks() - before < 1000
 
 
-@pytest.mark.usefixtures("fresh_number_row")
-def test_frobenius_row_reads_each_number_once_per_shift(monkeypatch):
-    n, r = 20, 4
-    seen = []
-    number_closed = sk.number_closed
+@pytest.mark.parametrize("row", [
+    lambda n, k: sk.connection_to_falling(n, k),
+    lambda n, k: sk.connection_to_frobenius(n, k, 4, F(-1, 3)),
+    lambda n, k: sk.connection_to_bernoulli(n, k, 2),
+], ids=["falling", "frobenius-euler", "bernoulli"])
+def test_connection_rows_read_the_number_row_once(monkeypatch, row):
+    n, k = 12, 1
+    reads = []
+    number_row = sk._number_row
 
-    def counted(index, k):
-        seen.append(index)
-        return number_closed(index, k)
+    def counted(top, order):
+        reads.append((top, order))
+        return number_row(top, order)
 
-    monkeypatch.setattr(sk, "number_closed", counted)
-    sk.connection_to_frobenius(n, 1, r, F(-1, 3))
-    assert len(seen) <= (n + 1) * (r + 1)
-    assert min(seen) >= 0
+    def number_closed(*args):
+        raise AssertionError("read a number apart from its row")
+
+    monkeypatch.setattr(sk, "_number_row", counted)
+    monkeypatch.setattr(sk, "number_closed", number_closed)
+    row(n, k)
+    assert reads == [(n, k)]
 
 
 def test_frobenius_row_builds_only_the_weights_it_reads(monkeypatch):
@@ -606,11 +620,14 @@ def test_reconstruct_is_the_weighted_sum_of_members(basis):
         assert row.reconstruct() == expected, row.entries
 
 
-def _reconstruct_by_linear_combination(row):
-    """The row summed as Fractions: ``linear_combination`` of its entries
-    and the basis members of degree 0..n."""
-    return linear_combination(row.entries, [sk.basis_member(row.basis, m)
-                                            for m in range(len(row.entries))])
+def _reconstruct_by_fractions(row):
+    """The row summed coefficient by coefficient in Fractions: entry m
+    times each coefficient of the basis member of degree m."""
+    coeffs = [F(0)] * len(row.entries)
+    for m, entry in enumerate(row.entries):
+        for i, c in enumerate(sk.basis_member(row.basis, m).coeffs):
+            coeffs[i] += entry * c
+    return Polynomial(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -624,11 +641,11 @@ def test_reconstruct_equals_linear_combination(basis, k):
     for n in range(13):
         row = sk.connection(n, k, basis)
         rebuilt = row.reconstruct()
-        assert rebuilt == _reconstruct_by_linear_combination(row), n
+        assert rebuilt == _reconstruct_by_fractions(row), n
         assert rebuilt == sk.poly_closed(n, k), n
         # A row whose entries do not sum to the closed polynomial.
         off = row._replace(entries=row.entries[:-1] + (F(n + 2, 3),))
-        assert off.reconstruct() == _reconstruct_by_linear_combination(off), n
+        assert off.reconstruct() == _reconstruct_by_fractions(off), n
 
 
 @pytest.mark.parametrize(

@@ -167,12 +167,8 @@ def test_fault_injection_is_reported_not_raised(monkeypatch):
     assert {c.identity for c in report.checks} == {"thm2.recurrence", "difference"}
 
 
-@pytest.mark.usefixtures("fresh_number_row")
-def test_fault_injection_text_prints_both_sides(monkeypatch):
-    true_number = sk.number_closed
-    monkeypatch.setattr(
-        sk, "number_closed", lambda n, k: true_number(n, k) + (1 if n == 1 else 0)
-    )
+@pytest.mark.usefixtures("first_number_off_by_one")
+def test_fault_injection_text_prints_both_sides():
     # n = 2 is the smallest point whose sum touches the perturbed value
     report = run_suite(GridConfig(n_max=2, k_range=(1, 1), identities=("thm4.m1-corrected",)))
     assert report.failure_count == 1

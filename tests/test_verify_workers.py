@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from polycauchy import second_kind as sk
 from polycauchy import verify, workers
 from polycauchy.cli import main
 from polycauchy.series import InsufficientOrderError
@@ -63,11 +62,9 @@ def test_report_bytes_do_not_depend_on_the_worker_count(capsys, monkeypatch, gri
         assert_no_child()
 
 
-@pytest.mark.usefixtures("fresh_number_row")
+@pytest.mark.usefixtures("first_number_off_by_one")
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_failures_made_in_a_worker_reach_the_report(capsys, monkeypatch, fmt):
-    true_number = sk.number_closed
-    monkeypatch.setattr(sk, "number_closed", lambda n, k: true_number(n, k) + (n == 1))
     argv = ("--n-max", "3", "--identity", "thm7.falling-basis", "--format", fmt)
     one = report(capsys, monkeypatch, 1, *argv)
     assert one[0] == 1
@@ -299,16 +296,14 @@ def short_difference(monkeypatch, in_child):
         monkeypatch.setattr(os, "fork", first_fork_fails)
 
 
-@pytest.mark.usefixtures("fresh_number_row")
 @pytest.mark.parametrize("path", ["ok", "failure", "order-error-in-child",
                                   "order-error-in-parent", "full-disk"])
-def test_no_worker_outlives_verify(capsys, monkeypatch, path):
+def test_no_worker_outlives_verify(capsys, monkeypatch, request, path):
     use_cpus(monkeypatch, 2)
     argv = ["verify", "--n-max", "4", "--format", "json", "--output", os.devnull]
     expected = 0
     if path == "failure":
-        true_number = sk.number_closed
-        monkeypatch.setattr(sk, "number_closed", lambda n, k: true_number(n, k) + (n == 1))
+        request.getfixturevalue("first_number_off_by_one")
         expected = 1
     elif path.startswith("order-error"):
         short_difference(monkeypatch, path.endswith("child"))
