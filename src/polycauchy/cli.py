@@ -11,10 +11,12 @@ intact.
 Every subcommand writes through ``_emit``; ``verify`` adds a JSON ``meta``
 block (the run's timestamp) after ``rows``, so ``rows`` stay deterministic.
 Every output is streamed into the ``--output`` file or stdout in bounded
-batches, never rendered whole first: the chunks of the indented JSON
-encoder and the rows of the CSV writer are joined into writes of about
-64 KiB, and text goes in one write.  ``verify`` rows are written as their
-checks are made (``verify._Stream``), so its memory does not grow with the
+batches, never rendered whole first: the JSON head, each JSON row as one
+string and the tail (``_json_text``, byte for byte ``json.dumps(payload,
+indent=2)`` plus a newline, with strings escaped by the C escaper of
+``json.encoder``), and the rows of the CSV writer, are joined into writes
+of about 64 KiB, and text goes in one write.  ``verify`` rows are written
+as their checks are made (``verify._Stream``), so its memory does not grow with the
 grid, and the ``--output`` file is opened before the first check.  A write
 error part-way through still exits 2, as does a grid found part-way through
 to need a deeper series; either may leave a partial ``--output`` file.
@@ -48,12 +50,11 @@ formats the one number row of ``--n-max``.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import closing, nullcontext
 from fractions import Fraction
-from itertools import chain, islice
+from json.encoder import encode_basestring_ascii as _quoted
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
@@ -281,17 +282,54 @@ class _Batched:
             self._handle.write("".join(self._batch))
 
 
-class _StreamedArray(list):
-    """Rows the JSON encoder reads as they come.  ``iterencode`` tests a
-    list for emptiness, then iterates it: this one holds only the first row
-    and iterates that row, then the rest."""
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it ``indent``
+    deep: dicts with str keys, lists and tuples, str, int, bool and None.
+    A float, or any other value, and a non-str key raise ``TypeError``."""
+    if isinstance(value, str):
+        return _quoted(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys are str here; got {key!r}")
+            items.append(f"{_quoted(key)}: {_json_text(item, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    def __init__(self, rows: Iterable[dict]):
-        self._rest = iter(rows)
-        super().__init__(islice(self._rest, 1))
 
-    def __iter__(self):
-        return chain(super().__iter__(), self._rest)
+def _json_chunks(command: str, params: dict, rows: Iterable[dict],
+                 meta: dict | None) -> Iterable[str]:
+    """The text of ``json.dumps(payload, indent=2)`` plus a newline, for the
+    payload of ``command``, ``params``, ``rows`` and, if given, ``meta``: the
+    head, then one string per row as it is read, then the tail."""
+    yield (f'{{\n  "command": {_json_text(command, "  ")},\n'
+           f'  "params": {_json_text(params, "  ")},\n  "rows": [')
+    separator = "\n    "
+    for row in rows:
+        yield separator + _json_text(row, "    ")
+        separator = ",\n    "
+    # With no row read, the array is written "[]", as json.dumps writes it.
+    tail = "]" if separator == "\n    " else "\n  ]"
+    if meta is not None:
+        tail += f',\n  "meta": {_json_text(meta, "  ")}'
+    yield tail + "\n}\n"
 
 
 def _write_csv(sink: _Batched, columns: list[str], rows: Iterable[dict]) -> None:
@@ -312,12 +350,7 @@ def _emit(args, command: str, params: dict, rows: Iterable[dict], columns: list[
     with sink as handle:
         out = _Batched(handle)
         if args.format == "json":
-            payload = {"command": command, "params": params, "rows": _StreamedArray(rows)}
-            if meta is not None:
-                payload["meta"] = meta
-            # json.dumps(payload, indent=2) is the join of these same chunks.
-            out.writelines(json.JSONEncoder(indent=2).iterencode(payload))
-            out.write("\n")
+            out.writelines(_json_chunks(command, params, rows, meta))
         elif args.format == "csv":
             _write_csv(out, columns, rows)
         else:

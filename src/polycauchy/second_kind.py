@@ -22,7 +22,9 @@ k >= 0 and 1 for k < 0.  ``poly_closed`` is that polynomial at c = 1,
 weights are the polynomial at c = 2.  The numbers have a row of their own,
 ``_number_row``: C_0^(k)..C_n^(k) over their lcm, each entry the dot product
 of one Stirling row with the powers 1/(m+1)^k over lcm(1..n+1)^k, made once
-per row, and ``number_closed`` is its last entry.
+per row.  ``number_closed`` reads entry n of the row of ``grown_order(n)``,
+as the Sheffer families read degree n; the connection rows and Theorem 4
+read the row of exactly the degree they need.
 The same layout runs Theorem 6's factored row, ``connection_to_frobenius``:
 the numbers C_0^(k)..C_n^(k) over their lcm L and the weights of
 1/(1-lambda) = p/q over q^r, so each entry is one Fraction over L q^r whose
@@ -180,9 +182,12 @@ def _stirling_sums(n: int, k: int, c: int, width: int) -> Polynomial:
 
 
 def number_closed(n: int, k: int) -> Fraction:
-    """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k: the last entry of
-    the number row."""
-    numbers, den = _number_row(n, k)
+    """C_n^(k) = sum_{m=0}^{n} S1(n,m) (-1)^m / (m+1)^k: entry n of the
+    number row of ``grown_order(n)``, as every Sheffer family serves degree
+    n, so a scan of degrees 0..N builds rows of orders 0, 1, 2, 4, ..., not
+    one row per degree.  A degree past the Stirling table's cap is asked
+    for as itself, so the table refuses it by its own number."""
+    numbers, den = _number_row(grown_order(n) if n <= _TABLE.n_max else n, k)
     return Fraction(numbers[n], den)
 
 

@@ -46,13 +46,13 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, NamedTuple
 
 from .exact import UsageError
 from .poly import (Polynomial, _convolve_ints, _frobenius_euler_lambda, _from_numerators,
                    _integer_numerators)
-from .series import TruncatedSeries, constant_series, exp_series, log1p_series
+from .series import TruncatedSeries, _reduced, constant_series, exp_series, log1p_series
 
 __all__ = [
     "DEFAULT_STIRLING_LIMIT",
@@ -143,13 +143,18 @@ def binom(n: int, k: int) -> int:
 def lif_series(k: int, order: int) -> TruncatedSeries:
     """Polylog-factorial series: the t^m coefficient is 1/(m! (m+1)^k).
 
-    Defined for every integer k; k = 0 reduces to e^t.
+    Defined for every integer k; k = 0 reduces to e^t.  Built in ints and
+    reduced once: for k >= 0 the numerators of 1/(m! (m+1)^k) over their
+    lcm, and for k < 0 (m+1)^|k| N!/m! over N!, from e^t's numerators.
     """
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries(
-        Fraction(1, factorial(m)) * Fraction(m + 1) ** (-k) for m in range(order + 1)
-    )
+    if k >= 0:
+        dens = [factorial(m) * (m + 1) ** k for m in range(order + 1)]
+        den = lcm(*dens)
+        return _reduced([den // d for d in dens], den)
+    exp = exp_series(order)
+    return _reduced([(m + 1) ** -k * v for m, v in enumerate(exp.nums)], exp.den)
 
 
 def _log1p_over_t(order: int) -> TruncatedSeries:

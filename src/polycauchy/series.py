@@ -15,7 +15,9 @@ with ``TypeError``, then brings the rationals to integer numerators by the
 step ``Polynomial``'s constructor uses (``poly._integer_numerators``).  Every
 operation works on the numerators and reduces its result once (``_reduced``,
 by ``poly._lowest_terms``), and Fractions are built only where coefficients
-are read.  Products run on
+are read.  The named series, log(1+t) and e^t here and Lif_k in
+``sequences``, are built from ints as well: their numerators over one
+denominator, reduced once, with no Fraction made.  Products run on
 ``poly._convolve_ints``, which ``compose``'s Horner steps share, and
 ``invert`` is Newton's iteration at doubling precision.
 
@@ -229,16 +231,19 @@ def constant_series(value, order: int) -> TruncatedSeries:
 
 
 def log1p_series(order: int) -> TruncatedSeries:
-    """log(1+t): coefficients 0 and then (-1)^(i-1)/i."""
+    """log(1+t): coefficients 0 and then (-1)^(i-1)/i, the numerators
+    +-L/i over L = lcm(1..N)."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction((-1) ** (i - 1), i) for i in range(1, order + 1)]
-    )
+    den = lcm(*range(1, order + 1))
+    return _reduced([0] + [(den if i % 2 else -den) // i for i in range(1, order + 1)], den)
 
 
 def exp_series(order: int) -> TruncatedSeries:
-    """e^t: coefficients 1/i!."""
+    """e^t: coefficients 1/i!, the numerators N!/i! over N!."""
     if order < 0:
         raise ValueError("truncation order must be non-negative")
-    return TruncatedSeries(Fraction(1, factorial(i)) for i in range(order + 1))
+    nums = [1] * (order + 1)
+    for i in range(order, 0, -1):
+        nums[i - 1] = nums[i] * i
+    return _reduced(nums, nums[0])

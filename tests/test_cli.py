@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +14,8 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycauchy import second_kind as sk
 from polycauchy import sequences as seq
@@ -991,6 +994,65 @@ def test_json_output_is_not_materialised(monkeypatch):
     # Rendering the whole report first peaks at several times its size.
     assert sink.chars > 3_000_000
     assert peak < sink.chars // 2, (peak, sink.chars)
+
+
+# Strings with every character the escaper treats apart: quotes, backslashes,
+# control characters, and text past the BMP, which it writes as a surrogate pair.
+_json_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t é😀𝄞'),
+                                  st.characters()))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10**1000, 10**1000),
+              _json_strings),
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(_json_strings, children)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100)
+@given(_json_values)
+def test_json_text_is_the_indented_dump(value):
+    assert cli._json_text(value, "") == json.dumps(value, indent=2)
+
+
+@settings(max_examples=40)
+@given(rows=st.lists(st.dictionaries(_json_strings, _json_values), max_size=3),
+       meta=st.none() | st.dictionaries(_json_strings, _json_values, max_size=2))
+def test_json_report_is_the_indented_dump_of_its_payload(rows, meta):
+    # Empty rows and an absent meta included: the head and tail are written
+    # around the rows, not encoded with them.
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        cli._emit(argparse.Namespace(format="json", output=None), "gen", {"n": 1}, iter(rows),
+                  [], meta=meta)
+    payload = {"command": "gen", "params": {"n": 1}, "rows": rows}
+    if meta is not None:
+        payload["meta"] = meta
+    assert sink.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    0.5, [1, 2.0], {"a": {"b": [float("nan")]}}, {1: "a"}, {"a": {None: 1}}, {(1,): 2}, F(1, 2),
+], ids=["float", "nested-float", "deep-nan", "int-key", "none-key", "tuple-key", "fraction"])
+def test_json_text_refuses_inexact_values_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value, "")
+
+
+def test_json_rows_reach_the_batcher_one_string_each(capsys, monkeypatch):
+    received = []
+    writelines = cli._Batched.writelines
+
+    def counted(self, chunks):
+        chunks = list(chunks)
+        received.extend(chunks)
+        writelines(self, chunks)
+
+    monkeypatch.setattr(cli._Batched, "writelines", counted)
+    code, out, _ = run_cli(capsys, "gen", "stirling1", "--n-max", "30", "--format", "json")
+    assert code == 0 and "".join(received) == out
+    # The head, 31 rows, and the tail.
+    assert len(received) <= 31 + 4
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -103,6 +103,16 @@ def test_number_row_is_the_numbers_over_their_lcm(k):
         assert sk._number_row(n, k) == (tuple(nums), den), (n, k)
 
 
+@pytest.mark.parametrize("k", [-40, 3, 40])
+def test_a_scan_of_the_numbers_reads_power_of_two_rows(k):
+    # Degree i comes from the row of grown_order(i), so a cold scan of
+    # i <= 64 builds the rows of orders 0, 1, 2, 4, ..., 64, not 65 rows.
+    sk._number_row.cache_clear()
+    scan = [sk.number_closed(i, k) for i in range(CAP + 1)]
+    assert sk._number_row.cache_info().currsize <= 8
+    assert scan == [sk._stirling_sums(i, k, 1, 1).coefficient(0) for i in range(CAP + 1)]
+
+
 # ---------------------------------------------------------------------------
 # Polynomials, both routes
 

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -301,6 +302,44 @@ def test_exp_series():
     assert exp_series(2) == series_of(1, 1, F(1, 2))
     assert exp_series(0) == series_of(1)
     assert exp_series(5).coefficient(5) == F(1, 120)
+
+
+# The named series as the constructor builds them, from one Fraction per
+# coefficient: the references for the integer-numerator builders.
+def fraction_built_log1p(order):
+    return TruncatedSeries([F(0)] + [F((-1) ** (i - 1), i) for i in range(1, order + 1)])
+
+
+def fraction_built_exp(order):
+    return TruncatedSeries(F(1, factorial(i)) for i in range(order + 1))
+
+
+def fraction_built_lif(k, order):
+    return TruncatedSeries(F(1, factorial(m)) * F(m + 1) ** (-k) for m in range(order + 1))
+
+
+# name -> (the builder under test, its reference)
+NAMED_SERIES = {
+    "log1p": (log1p_series, fraction_built_log1p),
+    "exp": (exp_series, fraction_built_exp),
+    **{f"lif:{k}": (partial(lif_series, k), partial(fraction_built_lif, k))
+       for k in [*range(-6, 7), 40, -40]},
+}
+
+
+@pytest.mark.parametrize("name", NAMED_SERIES)
+def test_named_series_built_from_ints_equal_the_fraction_built_ones(name):
+    built_from_ints, reference = NAMED_SERIES[name]
+    for order in range(65):
+        built, expected = built_from_ints(order), reference(order)
+        assert (built.nums, built.den) == (expected.nums, expected.den), order
+        assert type(built.nums) is tuple
+
+
+@pytest.mark.parametrize("name", NAMED_SERIES)
+def test_named_series_refuse_a_negative_order(name):
+    with pytest.raises(ValueError, match="non-negative"):
+        NAMED_SERIES[name][0](-1)
 
 
 def test_pow():
